@@ -20,7 +20,7 @@ namespace {
 
 /// Benchmarks execute compiled plans (xpath/plan.h) by default, the
 /// same path the engine serves; pass --no-compiled for the AST-walk
-/// A/B (BENCH_compiled.json records both).
+/// A/B.
 bool g_use_compiled = true;
 
 const XmlTree& AdexDoc(size_t bytes) {

@@ -3,7 +3,8 @@
 # the hostile-input hardening suite, docs/robustness.md) + audit smoke +
 # fuzz smoke over the seed corpus, then a ThreadSanitizer build running
 # the concurrency suite (docs/concurrency.md) — the serve phase must be
-# race-free, not merely passing.
+# race-free, not merely passing — and finally a short oracle-checked run
+# of every perfbench workload.
 #
 # Usage: scripts/check.sh [BUILD_DIR] [TSAN_BUILD_DIR]
 #        (defaults: build-asan, build-tsan)
@@ -116,5 +117,17 @@ cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
 # under TSan (it cannot compose with the interposed allocator), so this
 # run proves the always-on accounting side is race-free.
 "$TSAN_BUILD_DIR"/tests/heap_test
+
+# End-to-end correctness gate: one short run of each perfbench workload
+# through SecureQueryEngine::Execute (the path `serve` runs). run.py
+# exits non-zero when any answer disagrees with the workload's oracle.
+# One-second runs on a shared host are too noisy to gate speed on, so
+# this checks answers only; perf claims come from full-length runs
+# (perfbench/README.md).
+echo "== perfbench oracle gate =="
+for workload in serve_hot table1_scan prepare_cold recursive_height; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+    --trace 0 >/dev/null
+done
 
 echo "check: all green"

@@ -29,10 +29,9 @@ namespace {
 
 /// RAII companion of ScopedTimer for allocation: on destruction charges
 /// the phase's thread-local allocation delta into the pre-resolved
-/// registry counters and the optional ExecuteStats accumulators (+=, so
-/// repeated phases within one execution sum). All four sinks may be
-/// null; with the alloc tracker compiled out the delta is zero and the
-/// guard is two TLS struct reads.
+/// registry counters and the optional ExecuteStats accumulators. All
+/// four sinks may be null; with the alloc tracker compiled out the delta
+/// is zero and the guard is two TLS struct reads.
 class ScopedPhaseAlloc {
  public:
   ScopedPhaseAlloc(obs::Counter* bytes_counter, obs::Counter* count_counter,
@@ -240,38 +239,22 @@ std::shared_ptr<const CompiledPlan> SecureQueryEngine::CompileQueryPlan(
   return plan;
 }
 
-void SecureQueryEngine::ApplyPlanCacheDeltas(size_t shard, int64_t bytes_delta,
-                                             int64_t plan_bytes_delta,
-                                             int64_t plans_delta) {
-  if (bytes_delta != 0) {
-    hot_.cache_bytes->Add(bytes_delta);
-    hot_.shard_bytes[shard % hot_.shard_bytes.size()]->Add(bytes_delta);
-  }
-  if (plan_bytes_delta != 0) hot_.plan_cache_bytes->Add(plan_bytes_delta);
-  if (plans_delta != 0) hot_.plan_cached->Add(plans_delta);
-}
-
-Result<CachedQuery> SecureQueryEngine::Prepare(
+Result<std::shared_ptr<const CachedQuery>> SecureQueryEngine::Prepare(
     Policy& policy, std::string_view query_text, bool optimize, int depth,
-    bool compile, obs::Trace* trace, ExecuteStats* stats,
+    obs::Trace* trace, ExecuteStats* stats,
     const XPathParseLimits& parse_limits, QueryBudget* budget) {
   const bool recursive = !policy.rewriter.has_value();
+  // Without an optimizer (recursive DTD) optimize on and off prepare the
+  // same entry, so they share one key.
+  optimize = optimize && optimizer_.has_value();
   std::string cache_key = std::string(query_text) + "\x1f" +
                           (optimize ? "1" : "0") + "\x1f" +
                           std::to_string(depth);
-  if (std::optional<CachedQuery> cached = policy.cache.Lookup(cache_key)) {
+  if (std::shared_ptr<const CachedQuery> cached =
+          policy.cache.Lookup(cache_key)) {
     hot_.cache_hits->Add();
     if (stats != nullptr) stats->cache_hit = true;
-    if (compile && cached->plan == nullptr) {
-      // First evaluation of a resident entry: pay the compile once and
-      // attach the plan so every later hit reuses it.
-      ShardedRewriteCache::AttachOutcome attach = policy.cache.AttachPlan(
-          cache_key, CompileQueryPlan(cached->query, trace));
-      ApplyPlanCacheDeltas(attach.shard, attach.bytes_delta,
-                           attach.plan_bytes_delta, attach.plans_delta);
-      cached->plan = std::move(attach.plan);
-    }
-    return *cached;
+    return cached;
   }
   hot_.cache_misses->Add();
   if (stats != nullptr) stats->cache_hit = false;
@@ -302,7 +285,8 @@ Result<CachedQuery> SecureQueryEngine::Prepare(
     metrics_.GetCounter("rewrite.unfolds").Add();
   }
 
-  PathPtr rewritten;
+  auto value = std::make_shared<CachedQuery>();
+  PathPtr& rewritten = value->rewritten;
   {
     obs::ScopedSpan span(trace, "rewrite");
     obs::ScopedTimer timer(
@@ -332,7 +316,9 @@ Result<CachedQuery> SecureQueryEngine::Prepare(
     }
   }
 
-  if (optimize && optimizer_.has_value()) {
+  value->rewritten_size = PathSize(rewritten);
+  value->evaluated = rewritten;
+  if (optimize) {
     obs::ScopedSpan span(trace, "optimize");
     obs::ScopedTimer timer(
         &metrics_.GetHistogram("phase.optimize.micros"),
@@ -341,9 +327,9 @@ Result<CachedQuery> SecureQueryEngine::Prepare(
         hot_.alloc_optimize_bytes, hot_.alloc_optimize_count,
         stats != nullptr ? &stats->optimize_alloc_bytes : nullptr,
         stats != nullptr ? &stats->optimize_alloc_count : nullptr);
-    span.SetAttr("ast_before", PathSize(rewritten));
+    span.SetAttr("ast_before", value->rewritten_size);
     OptimizeStats ostats;
-    SECVIEW_ASSIGN_OR_RETURN(rewritten,
+    SECVIEW_ASSIGN_OR_RETURN(value->evaluated,
                              optimizer_->Optimize(rewritten, &ostats, budget));
     span.SetAttr("ast_after", ostats.output_size);
     span.SetAttr("union_prunes", static_cast<uint64_t>(ostats.union_prunes));
@@ -365,37 +351,41 @@ Result<CachedQuery> SecureQueryEngine::Prepare(
       stats->union_prunes += static_cast<uint64_t>(ostats.union_prunes);
     }
   }
-  CachedQuery value;
-  value.query = std::move(rewritten);
-  if (compile) value.plan = CompileQueryPlan(value.query, trace);
+  value->evaluated_size = value->evaluated == rewritten
+                              ? value->rewritten_size
+                              : PathSize(value->evaluated);
+  value->plan = CompileQueryPlan(value->evaluated, trace);
   static FailPoint& insert_fault =
       FailPointRegistry::Instance().Get(failpoints::kCacheInsert);
-  if (insert_fault.Fire()) {
-    // Simulated cache-insert failure (e.g. allocation inside the shard):
-    // serve this execution from the locally built entry and simply skip
-    // caching it — the next miss recomputes. Degraded hit rate, same
-    // answer.
-    return value;
+  if (value->plan == nullptr || insert_fault.Fire()) {
+    // A failed compile (injected plan.compile fault) or a simulated
+    // cache-insert failure: serve this execution from the locally built
+    // entry (plan-less ones by the AST walk) and skip caching it, so
+    // every resident entry has a plan and the next miss retries.
+    // Degraded speed or hit rate, same answer.
+    return std::shared_ptr<const CachedQuery>(std::move(value));
   }
-  // Two threads that missed on the same key both computed the (same,
-  // deterministic) rewriting; Insert keeps whichever landed first and
-  // returns the resident value so every caller shares one AST (and, via
-  // plan grafting, one compiled plan).
+  // Two threads that missed on the same key both prepared the (same,
+  // deterministic) entry; Insert keeps whichever landed first and
+  // returns the resident value so every caller shares one entry.
   ShardedRewriteCache::InsertOutcome outcome =
       policy.cache.Insert(cache_key, std::move(value));
   if (outcome.evicted) hot_.cache_evictions->Add();
   if (outcome.inserted) {
     // Size gauges track the insert/evict delta; an eviction and an
     // insert land in the same shard, so they cancel there too.
+    const size_t shard = outcome.shard % hot_.shard_size.size();
     if (!outcome.evicted) {
       hot_.cache_size->Add(1);
-      hot_.shard_size[outcome.shard % hot_.shard_size.size()]->Add(1);
+      hot_.plan_cached->Add(1);
+      hot_.shard_size[shard]->Add(1);
     }
     policy.cache_size_gauge->Set(static_cast<int64_t>(policy.cache.size()));
+    hot_.cache_bytes->Add(outcome.bytes_delta);
+    hot_.shard_bytes[shard]->Add(outcome.bytes_delta);
+    hot_.plan_cache_bytes->Add(outcome.plan_bytes_delta);
   }
-  ApplyPlanCacheDeltas(outcome.shard, outcome.bytes_delta,
-                       outcome.plan_bytes_delta, outcome.plans_delta);
-  return outcome.value;
+  return std::move(outcome.value);
 }
 
 Result<PathPtr> SecureQueryEngine::Rewrite(const std::string& policy_name,
@@ -404,11 +394,10 @@ Result<PathPtr> SecureQueryEngine::Rewrite(const std::string& policy_name,
   SECVIEW_ASSIGN_OR_RETURN(Policy* policy, FindPolicy(policy_name));
   const int depth = policy->rewriter.has_value() ? 0 : doc_height;
   SECVIEW_ASSIGN_OR_RETURN(
-      CachedQuery prepared,
-      Prepare(*policy, query_text, optimize, depth, /*compile=*/false,
-              /*trace=*/nullptr, /*stats=*/nullptr, XPathParseLimits{},
-              /*budget=*/nullptr));
-  return prepared.query;
+      std::shared_ptr<const CachedQuery> prepared,
+      Prepare(*policy, query_text, optimize, depth, /*trace=*/nullptr,
+              /*stats=*/nullptr, XPathParseLimits{}, /*budget=*/nullptr));
+  return prepared->evaluated;
 }
 
 Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
@@ -425,8 +414,6 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
     return Status::InvalidArgument(
         "document root does not match the engine's DTD");
   }
-  // The document height (an O(N) scan) is only needed to pick the
-  // unfolding depth of recursive views.
   SECVIEW_ASSIGN_OR_RETURN(Policy* policy, FindPolicy(policy_name));
   hot_.queries->Add();
   policy->queries_counter->Add();
@@ -437,36 +424,22 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
   QueryBudget budget(options.limits, options.cancel);
   QueryBudget* budget_ptr = budget.active() ? &budget : nullptr;
 
+  // Only recursive views need the document height (the unfolding depth).
   const int doc_height = policy->rewriter.has_value() ? 0 : doc.Height();
-
   result.stats.unfold_depth = doc_height;
-  // Only the entry that gets *evaluated* carries a compiled plan: with
-  // optimization on, that is the second (optimized) preparation.
   SECVIEW_ASSIGN_OR_RETURN(
-      CachedQuery prepared,
-      Prepare(*policy, query_text, /*optimize=*/false, doc_height,
-              /*compile=*/options.use_compiled && !options.optimize,
-              options.trace, &result.stats, options.parse_limits, budget_ptr));
-  result.rewritten = prepared.query;
-  PathPtr to_run = prepared.query;
-  std::shared_ptr<const CompiledPlan> plan = std::move(prepared.plan);
-  if (options.optimize) {
-    // stats.cache_hit ends up describing this (the evaluated) entry.
-    SECVIEW_ASSIGN_OR_RETURN(
-        prepared,
-        Prepare(*policy, query_text, /*optimize=*/true, doc_height,
-                /*compile=*/options.use_compiled, options.trace, &result.stats,
-                options.parse_limits, budget_ptr));
-    to_run = prepared.query;
-    plan = std::move(prepared.plan);
-  }
-  // A cached entry may carry a plan attached by an earlier compiled run;
-  // --no-compiled must force the AST walk even then.
-  if (!options.use_compiled) plan = nullptr;
+      std::shared_ptr<const CachedQuery> prepared,
+      Prepare(*policy, query_text, options.optimize, doc_height, options.trace,
+              &result.stats, options.parse_limits, budget_ptr));
+  result.rewritten = prepared->rewritten;
+  // Every entry carries a plan; --no-compiled forces the AST walk anyway.
+  const CompiledPlan* plan =
+      options.use_compiled ? prepared->plan.get() : nullptr;
   if (budget_ptr != nullptr) SECVIEW_RETURN_IF_ERROR(budget_ptr->Check());
+  PathPtr to_run;
   {
     obs::ScopedSpan span(options.trace, "bind");
-    to_run = BindParams(to_run, options.bindings);
+    to_run = BindParams(prepared->evaluated, options.bindings);
   }
   if (HasUnboundParams(to_run)) {
     return Status::FailedPrecondition(
@@ -474,14 +447,14 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
         "ExecuteOptions::bindings");
   }
   result.evaluated = to_run;
-  result.stats.ast_size_rewritten = PathSize(result.rewritten);
-  result.stats.ast_size_evaluated = PathSize(to_run);
+  result.stats.ast_size_rewritten = prepared->rewritten_size;
+  result.stats.ast_size_evaluated = prepared->evaluated_size;
 
   if (options.use_compiled && plan == nullptr) {
-    // The caller asked for the compiled path but no plan exists (query
-    // not compilable, compile failed or was injected to fail, budget
-    // tripped the preparation). The AST walk below returns the same
-    // nodes; account the fallback so operators can see the lost speed.
+    // The caller asked for the compiled path but this execution's
+    // compile failed (the entry was not cached). The AST walk below
+    // returns the same nodes; account the fallback so operators can see
+    // the lost speed.
     hot_.plan_fallbacks->Add();
   }
   static FailPoint& alloc_fault =
@@ -717,13 +690,9 @@ Result<ExecuteResult> SecureQueryEngine::Execute(
   if (options.explain != nullptr) {
     ExplainOptions explain_options;
     explain_options.optimize = options.optimize;
-    // Same depth selection as the Prepare path: the document height is
-    // only meaningful (and only worth the O(N) scan) for recursive
-    // views, and it makes the explain's reported unfold depth match
-    // result.stats.unfold_depth.
-    SECVIEW_ASSIGN_OR_RETURN(Policy * policy, FindPolicy(policy_name));
-    explain_options.doc_height =
-        policy->rewriter.has_value() ? 0 : doc.Height();
+    // The depth the execution prepared with, so the explain's reported
+    // unfold depth matches result.stats.unfold_depth.
+    explain_options.doc_height = result.stats.unfold_depth;
     SECVIEW_ASSIGN_OR_RETURN(
         *options.explain, Explain(policy_name, query_text, explain_options));
   }

@@ -45,8 +45,8 @@ struct EngineOptions {
   /// contention between concurrent cache hits/inserts.
   size_t cache_shards = 8;
   /// Entry budget of each policy's rewrite cache. Every distinct
-  /// (query text, optimize flag, unfold depth) triple is one entry, so
-  /// the bound is what keeps a hostile query stream from growing the
+  /// (query text, effective optimize, unfold depth) triple is one entry,
+  /// so the bound is what keeps a hostile query stream from growing the
   /// cache without limit.
   size_t cache_capacity = 1024;
 };
@@ -99,19 +99,20 @@ struct ExecuteOptions {
   /// this flag) while a PlanProfileTable is attached.
   bool profile = false;
 
-  /// Evaluate through the compiled query plan (xpath/plan.h): the
-  /// rewritten AST is lowered once into flat step bytecode, cached next
-  /// to the AST, and executed over pooled scratch buffers. Results,
-  /// statuses, counters, budget charging, and profiles are identical to
-  /// the AST walk (guarded by tests/plan_test.cc); turn this off
-  /// (`--no-compiled` in the CLI) only to A/B the interpreter paths.
+  /// Evaluate through the compiled query plan (xpath/plan.h): every
+  /// cache entry carries its AST lowered once into flat step bytecode,
+  /// executed over pooled scratch buffers. Results, statuses, counters,
+  /// budget charging, and profiles are identical to the AST walk
+  /// (guarded by tests/plan_test.cc); turn this off (`--no-compiled` in
+  /// the CLI) only to A/B the interpreter paths.
   bool use_compiled = true;
 };
 
 /// Structured per-execution statistics (the successor of the old bare
-/// `work` counter). Phase durations are wall-clock microseconds; when a
-/// phase runs more than once per execution (e.g. parse, for both the
-/// provenance and the optimized preparation) the durations sum.
+/// `work` counter). Phase durations are wall-clock microseconds. Each
+/// execution prepares its query at most once, so the parse, rewrite and
+/// optimize durations, allocations and DP counts are those of that one
+/// preparation, and all zero on a cache hit.
 struct ExecuteStats {
   /// Evaluator node touches (machine-independent cost).
   uint64_t nodes_touched = 0;
@@ -119,7 +120,7 @@ struct ExecuteStats {
   uint64_t predicate_evals = 0;
   /// Number of result nodes.
   size_t result_count = 0;
-  /// True iff the *evaluated* query came out of the rewrite cache.
+  /// True iff the prepared query came out of the rewrite cache.
   bool cache_hit = false;
   /// True iff evaluation ran the compiled plan rather than the AST walk
   /// (ExecuteOptions::use_compiled and compilation succeeded).
@@ -138,9 +139,9 @@ struct ExecuteStats {
   /// Heap allocation charged to this execution and its phases
   /// (common/alloc_tracker): bytes/calls requested through operator new
   /// on the executing thread — churn, not live memory. All zero when the
-  /// tracker is compiled out (AllocTrackingAvailable() == false). Like
-  /// the phase durations, repeated phases sum; the whole-execution
-  /// totals also cover work between phases, so they exceed the phase sum.
+  /// tracker is compiled out (AllocTrackingAvailable() == false). The
+  /// whole-execution totals also cover work between phases, so they
+  /// exceed the phase sum.
   uint64_t alloc_bytes = 0;
   uint64_t alloc_count = 0;
   uint64_t parse_alloc_bytes = 0;
@@ -152,10 +153,9 @@ struct ExecuteStats {
   uint64_t evaluate_alloc_bytes = 0;
   uint64_t evaluate_alloc_count = 0;
 
-  /// DP table sizes and optimizer prune counts, accumulated across the
-  /// (up to two) preparations of one execution. All zero when every
-  /// preparation was served from the rewrite cache — the work literally
-  /// did not happen again.
+  /// DP table sizes and optimizer prune counts of this execution's
+  /// preparation. All zero on a cache hit — the work literally did not
+  /// happen again.
   uint64_t rewrite_dp_entries = 0;
   uint64_t optimize_dp_entries = 0;
   uint64_t nonexistence_prunes = 0;
@@ -201,8 +201,12 @@ struct ExecuteResult {
 ///   auto result = engine->Execute("nurse", doc, "//patient//bill",
 ///                                 {.bindings = {{"wardNo", "3"}}});
 ///
-/// Rewritten/optimized queries are cached per (policy, query text,
-/// optimize flag). For *recursive* views the cache key additionally
+/// Prepared queries are cached per (policy, query text, effective
+/// optimize flag), one entry per query holding the rewritten AST, the
+/// evaluated (optimized) AST and its compiled plan. The optimize flag is
+/// effective only when the document DTD admits the optimizer, so on a
+/// recursive DTD optimize on and off share one entry. For *recursive*
+/// views the cache key additionally
 /// includes the unfolding depth — the rewritten query is only equivalent
 /// over documents of height <= depth, so two documents of different
 /// heights must not share a cache entry (Section 4.2; the depth is
@@ -320,9 +324,11 @@ class SecureQueryEngine {
   // -- Querying -------------------------------------------------------------
 
   /// Rewrites (and optionally optimizes) a view query for the policy,
-  /// without evaluating it. `doc_height` selects the unfolding depth for
-  /// recursive views; pass the height of the target document (ignored
-  /// for non-recursive views).
+  /// without evaluating it, and returns the AST Execute would evaluate
+  /// (before binding). Reads and fills the same cache entry as Execute.
+  /// `doc_height` selects the unfolding depth for recursive views; pass
+  /// the height of the target document (ignored for non-recursive
+  /// views).
   Result<PathPtr> Rewrite(const std::string& policy,
                           std::string_view query_text, bool optimize,
                           int doc_height = 0);
@@ -377,11 +383,13 @@ class SecureQueryEngine {
     /// Prepared rewriter for non-recursive views. Rewrite() is const
     /// and stateless per call, so many threads may share it.
     std::optional<QueryRewriter> rewriter;
-    /// Cache key: query text + "\x1f" + optimize flag + "\x1f" + unfold
-    /// depth. The depth component matters for recursive views only — a
-    /// rewriting unfolded to depth d is valid for documents of height
-    /// <= d, so entries for different heights must stay distinct. For
-    /// non-recursive views the depth is always 0.
+    /// One CachedQuery per key: query text + "\x1f" + effective optimize
+    /// flag + "\x1f" + unfold depth. The optimize flag is effective only
+    /// when the engine has an optimizer (non-recursive DTD). The depth
+    /// component matters for recursive views only — a rewriting unfolded
+    /// to depth d is valid for documents of height <= d, so entries for
+    /// different heights must stay distinct. For non-recursive views the
+    /// depth is always 0.
     ShardedRewriteCache cache;
     /// Pre-resolved instruments (resolving a name takes the registry
     /// lock; the serve path must not).
@@ -412,19 +420,20 @@ class SecureQueryEngine {
     /// engine.cache.size counts entries only, which stopped being a
     /// proxy for memory once entries started carrying bytecode.
     obs::Gauge* cache_bytes = nullptr;
-    /// engine.plan.compiles — plan compilations performed (a cache hit
-    /// on an entry that already has a plan does not compile).
+    /// engine.plan.compiles — plan compilations performed (one per cache
+    /// miss; a hit reuses the entry's plan).
     obs::Counter* plan_compiles = nullptr;
-    /// engine.plan.cached — compiled plans resident in the caches.
+    /// engine.plan.cached — compiled plans resident in the caches. Every
+    /// resident entry carries one, so this equals engine.cache.size.
     obs::Gauge* plan_cached = nullptr;
     /// engine.plan.cache_bytes — bytes of resident compiled plans
     /// (subset of engine.cache.bytes).
     obs::Gauge* plan_cache_bytes = nullptr;
     /// engine.plan.fallbacks — executions that asked for the compiled
-    /// path but ran the AST walk because no plan was available (query
-    /// not compilable, injected plan.compile fault, or a budget-tripped
-    /// preparation). Results are identical either way; this counts the
-    /// lost speed, not lost correctness.
+    /// path but ran the AST walk because the compile failed (an injected
+    /// plan.compile fault; such an entry is not cached). Results are
+    /// identical either way; this counts the lost speed, not lost
+    /// correctness.
     obs::Counter* plan_fallbacks = nullptr;
     /// engine.execute.micros — end-to-end Execute latency (all phases,
     /// successes and failures alike).
@@ -455,29 +464,23 @@ class SecureQueryEngine {
   Result<Policy*> FindPolicy(const std::string& name);
   Result<const Policy*> FindPolicy(const std::string& name) const;
 
-  /// The instrumented preparation path behind Rewrite, Execute, and the
-  /// explain pass: sharded-cache lookup, then parse -> [unfold ->]
-  /// rewrite -> [optimize ->] cache insert. Safe from many threads
-  /// (serve phase). `trace`, `stats`, and `budget` may be null. A
-  /// budget-tripped preparation is never cached. With `compile` set the
-  /// returned entry additionally carries the compiled plan — compiled
-  /// now if needed (and attached to the cache entry), reused from the
-  /// entry otherwise.
-  Result<CachedQuery> Prepare(Policy& policy, std::string_view query_text,
-                              bool optimize, int depth, bool compile,
-                              obs::Trace* trace, ExecuteStats* stats,
-                              const XPathParseLimits& parse_limits,
-                              QueryBudget* budget);
+  /// The instrumented preparation path behind Rewrite and Execute: one
+  /// sharded-cache lookup, then on a miss parse -> [unfold ->] rewrite
+  /// -> [optimize ->] compile -> cache insert. `optimize` is reduced to
+  /// the effective flag (optimize && CanOptimize()) before keying. Safe
+  /// from many threads (serve phase). `trace`, `stats`, and `budget` may
+  /// be null. A budget-tripped preparation is never cached, and neither
+  /// is one whose compile failed (it is returned plan-less, for this one
+  /// execution).
+  Result<std::shared_ptr<const CachedQuery>> Prepare(
+      Policy& policy, std::string_view query_text, bool optimize, int depth,
+      obs::Trace* trace, ExecuteStats* stats,
+      const XPathParseLimits& parse_limits, QueryBudget* budget);
 
   /// Lowers a rewritten query to bytecode under the "compile" span /
   /// phase.compile.micros timer and bumps engine.plan.compiles.
   std::shared_ptr<const CompiledPlan> CompileQueryPlan(const PathPtr& query,
                                                        obs::Trace* trace);
-
-  /// Feeds a cache operation's signed byte/plan deltas into the
-  /// engine.cache.bytes / engine.plan.* gauges.
-  void ApplyPlanCacheDeltas(size_t shard, int64_t bytes_delta,
-                            int64_t plan_bytes_delta, int64_t plans_delta);
 
   /// Execute minus the audit bookkeeping; fills `result` as far as the
   /// execution got, so a failing run still exposes partial provenance

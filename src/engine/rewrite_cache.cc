@@ -39,12 +39,17 @@ size_t QualBytes(const QualPtr& q) {
   return bytes;
 }
 
+size_t PlanBytes(const CachedQuery& value) {
+  return value.plan != nullptr ? value.plan->byte_size() : 0;
+}
+
 }  // namespace
 
 size_t ShardedRewriteCache::EntryFootprintBytes(const std::string& key,
                                                 const CachedQuery& value) {
-  size_t bytes = key.size() + sizeof(Entry) + PathBytes(value.query);
-  if (value.plan != nullptr) bytes += value.plan->byte_size();
+  size_t bytes = key.size() + sizeof(Entry) + sizeof(CachedQuery) +
+                 PathBytes(value.rewritten) + PlanBytes(value);
+  if (value.evaluated != value.rewritten) bytes += PathBytes(value.evaluated);
   return bytes;
 }
 
@@ -66,17 +71,18 @@ size_t ShardedRewriteCache::ShardIndex(const std::string& key) const {
   return std::hash<std::string>{}(key) % shards_.size();
 }
 
-std::optional<CachedQuery> ShardedRewriteCache::Lookup(const std::string& key) {
+std::shared_ptr<const CachedQuery> ShardedRewriteCache::Lookup(
+    const std::string& key) {
   Shard& shard = *shards_[ShardIndex(key)];
   std::shared_lock<std::shared_mutex> lock(shard.mu);
   auto it = shard.map.find(key);
-  if (it == shard.map.end()) return std::nullopt;
+  if (it == shard.map.end()) return nullptr;
   it->second->last_used.store(NextTick(), std::memory_order_relaxed);
   return it->second->value;
 }
 
 ShardedRewriteCache::InsertOutcome ShardedRewriteCache::Insert(
-    const std::string& key, CachedQuery value) {
+    const std::string& key, std::shared_ptr<const CachedQuery> value) {
   InsertOutcome outcome;
   outcome.shard = ShardIndex(key);
   Shard& shard = *shards_[outcome.shard];
@@ -84,23 +90,9 @@ ShardedRewriteCache::InsertOutcome ShardedRewriteCache::Insert(
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
     // Another thread prepared the same key concurrently; keep its entry
-    // (the rewrite is deterministic, so the values are equivalent). If
-    // this thread also compiled a plan the resident entry lacks, graft
-    // it on so the compile is not wasted.
+    // (preparation is deterministic, so the values are equivalent).
     Entry& entry = *it->second;
     entry.last_used.store(NextTick(), std::memory_order_relaxed);
-    if (entry.value.plan == nullptr && value.plan != nullptr) {
-      entry.value.plan = std::move(value.plan);
-      const size_t plan_bytes = entry.value.plan->byte_size();
-      entry.bytes += plan_bytes;
-      entry.plan_bytes = plan_bytes;
-      shard.bytes += plan_bytes;
-      shard.plan_bytes += plan_bytes;
-      shard.plans += 1;
-      outcome.bytes_delta = static_cast<int64_t>(plan_bytes);
-      outcome.plan_bytes_delta = static_cast<int64_t>(plan_bytes);
-      outcome.plans_delta = 1;
-    }
     outcome.value = entry.value;
     return outcome;
   }
@@ -116,71 +108,23 @@ ShardedRewriteCache::InsertOutcome ShardedRewriteCache::Insert(
     }
     const Entry& evicted = *victim->second;
     shard.bytes -= evicted.bytes;
-    shard.plan_bytes -= evicted.plan_bytes;
-    if (evicted.value.plan != nullptr) {
-      shard.plans -= 1;
-      outcome.plans_delta -= 1;
-    }
     outcome.bytes_delta -= static_cast<int64_t>(evicted.bytes);
-    outcome.plan_bytes_delta -= static_cast<int64_t>(evicted.plan_bytes);
+    outcome.plan_bytes_delta -=
+        static_cast<int64_t>(PlanBytes(*evicted.value));
     shard.map.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     outcome.evicted = true;
   }
   auto entry = std::make_unique<Entry>();
   entry->value = value;
-  entry->bytes = EntryFootprintBytes(key, value);
-  entry->plan_bytes = value.plan != nullptr ? value.plan->byte_size() : 0;
+  entry->bytes = EntryFootprintBytes(key, *value);
   entry->last_used.store(NextTick(), std::memory_order_relaxed);
   shard.bytes += entry->bytes;
-  shard.plan_bytes += entry->plan_bytes;
   outcome.bytes_delta += static_cast<int64_t>(entry->bytes);
-  outcome.plan_bytes_delta += static_cast<int64_t>(entry->plan_bytes);
-  if (value.plan != nullptr) {
-    shard.plans += 1;
-    outcome.plans_delta += 1;
-  }
+  outcome.plan_bytes_delta += static_cast<int64_t>(PlanBytes(*value));
   shard.map.emplace(key, std::move(entry));
   outcome.value = std::move(value);
   outcome.inserted = true;
-  return outcome;
-}
-
-ShardedRewriteCache::AttachOutcome ShardedRewriteCache::AttachPlan(
-    const std::string& key, std::shared_ptr<const CompiledPlan> plan) {
-  AttachOutcome outcome;
-  outcome.shard = ShardIndex(key);
-  if (plan == nullptr) {
-    // Compilation produced nothing (e.g. an injected plan.compile
-    // fault); leave the entry plan-less so a later execution can retry.
-    return outcome;
-  }
-  Shard& shard = *shards_[outcome.shard];
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    // Evicted between the caller's lookup and now; the plan is still
-    // valid for this execution, it just does not get cached.
-    outcome.plan = std::move(plan);
-    return outcome;
-  }
-  Entry& entry = *it->second;
-  if (entry.value.plan != nullptr) {
-    outcome.plan = entry.value.plan;
-    return outcome;
-  }
-  entry.value.plan = std::move(plan);
-  const size_t plan_bytes = entry.value.plan->byte_size();
-  entry.bytes += plan_bytes;
-  entry.plan_bytes = plan_bytes;
-  shard.bytes += plan_bytes;
-  shard.plan_bytes += plan_bytes;
-  shard.plans += 1;
-  outcome.plan = entry.value.plan;
-  outcome.attached = true;
-  outcome.bytes_delta = static_cast<int64_t>(plan_bytes);
-  outcome.plan_bytes_delta = static_cast<int64_t>(plan_bytes);
-  outcome.plans_delta = 1;
   return outcome;
 }
 
@@ -189,8 +133,6 @@ void ShardedRewriteCache::Clear() {
     std::unique_lock<std::shared_mutex> lock(shard->mu);
     shard->map.clear();
     shard->bytes = 0;
-    shard->plan_bytes = 0;
-    shard->plans = 0;
   }
 }
 
@@ -206,12 +148,6 @@ size_t ShardedRewriteCache::ShardBytes(size_t i) const {
   return shard.bytes;
 }
 
-size_t ShardedRewriteCache::ShardPlans(size_t i) const {
-  const Shard& shard = *shards_[i];
-  std::shared_lock<std::shared_mutex> lock(shard.mu);
-  return shard.plans;
-}
-
 size_t ShardedRewriteCache::size() const {
   size_t total = 0;
   for (size_t i = 0; i < shards_.size(); ++i) total += ShardSize(i);
@@ -221,12 +157,6 @@ size_t ShardedRewriteCache::size() const {
 size_t ShardedRewriteCache::bytes() const {
   size_t total = 0;
   for (size_t i = 0; i < shards_.size(); ++i) total += ShardBytes(i);
-  return total;
-}
-
-size_t ShardedRewriteCache::plans() const {
-  size_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) total += ShardPlans(i);
   return total;
 }
 

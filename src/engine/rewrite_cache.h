@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -17,24 +15,30 @@ namespace secview {
 
 struct CompiledPlan;
 
-/// What the rewrite cache stores per key: the rewritten (and optionally
-/// optimized) AST, plus — once some execution needed it — the compiled
-/// plan lowered from that AST (xpath/plan.h). Both are shared_ptr<const>
-/// immutables, so one entry serves any number of threads without
-/// copying; the plan is attached lazily (AttachPlan) because only the
-/// entry that gets *evaluated* pays the compile.
+/// One prepared query: everything an execution needs that depends only
+/// on (query text, optimize, unfold depth), built once on a cache miss
+/// and immutable afterwards. The cache hands out shared_ptr<const> to
+/// it, so a hit costs one reference and any number of threads share it.
 struct CachedQuery {
-  PathPtr query;
-  std::shared_ptr<const CompiledPlan> plan;  // null until attached
+  /// The query after rewriting over the view, before optimization
+  /// (ExecuteResult::rewritten, the audit line, the CLI).
+  PathPtr rewritten;
+  /// The query that is evaluated: the optimized rewriting when the key
+  /// has optimize set, otherwise the same AST as `rewritten`.
+  PathPtr evaluated;
+  /// `evaluated` lowered to bytecode (xpath/plan.h). Every entry the
+  /// cache admits has one; it is null only on an uncached preparation
+  /// whose compile failed.
+  std::shared_ptr<const CompiledPlan> plan;
+  /// PathSize of the two ASTs (binding $parameters keeps the size).
+  int rewritten_size = 0;
+  int evaluated_size = 0;
 };
 
-/// Thread-safe bounded cache for rewritten queries, striped into N
-/// shards so concurrent lookups of different keys never contend on one
-/// lock. Each shard is guarded by its own shared_mutex: cache hits take
-/// the lock shared (many readers in parallel), inserts take it
-/// exclusive. Values are shared_ptr<const> ASTs and compiled plans —
-/// immutable after construction — so a cached query can be handed to
-/// any number of threads without copying.
+/// Thread-safe bounded cache of prepared queries, striped into N shards
+/// so concurrent lookups of different keys never contend on one lock.
+/// Each shard is guarded by its own shared_mutex: cache hits take the
+/// lock shared (many readers in parallel), inserts take it exclusive.
 ///
 /// Capacity is bounded per shard (total capacity / shard count, at
 /// least one entry per shard) with LRU-ish eviction: every hit stamps
@@ -47,10 +51,8 @@ struct CachedQuery {
 /// key) in single- and multi-threaded use alike.
 ///
 /// Alongside the entry count, every shard tracks the byte footprint of
-/// its entries (key + AST estimate + compiled-plan tables), maintained
-/// exactly across insert/evict/attach from the footprint recorded at
-/// admission — entries carry bytecode now, so "N entries" alone no
-/// longer says how big the cache is.
+/// its entries (key + AST estimates + compiled-plan tables), recorded
+/// at admission and subtracted exactly on eviction.
 class ShardedRewriteCache {
  public:
   struct Options {
@@ -62,16 +64,14 @@ class ShardedRewriteCache {
   };
 
   /// What an Insert did, so the owner can maintain metrics without the
-  /// cache knowing about any registry. The byte/plan deltas are signed
-  /// net changes (inserted minus evicted), so the owner can feed them
+  /// cache knowing about any registry. The byte deltas are signed net
+  /// changes (inserted minus evicted), so the owner can feed them
   /// straight into gauges.
   struct InsertOutcome {
     /// The resident value: the inserted one, or the already-present one
     /// when another thread inserted the same key first (both threads
-    /// computed the same deterministic rewrite; sharing maximizes AST
-    /// reuse). On such a collision, an incoming compiled plan is grafted
-    /// onto the plan-less resident entry rather than dropped.
-    CachedQuery value;
+    /// prepared the same deterministic entry; sharing maximizes reuse).
+    std::shared_ptr<const CachedQuery> value;
     /// True iff this call added a new entry.
     bool inserted = false;
     /// True iff this call evicted an entry to make room.
@@ -82,22 +82,6 @@ class ShardedRewriteCache {
     int64_t bytes_delta = 0;
     /// Net compiled-plan bytes change.
     int64_t plan_bytes_delta = 0;
-    /// Net resident compiled-plan count change.
-    int64_t plans_delta = 0;
-  };
-
-  /// What an AttachPlan did.
-  struct AttachOutcome {
-    /// The resident plan after the call: the attached one, the one that
-    /// was already there, or the caller's own plan when the key had
-    /// been evicted in the meantime (still usable, just not cached).
-    std::shared_ptr<const CompiledPlan> plan;
-    /// True iff this call stored the plan on an existing entry.
-    bool attached = false;
-    size_t shard = 0;
-    int64_t bytes_delta = 0;
-    int64_t plan_bytes_delta = 0;
-    int64_t plans_delta = 0;
   };
 
   ShardedRewriteCache();
@@ -106,19 +90,15 @@ class ShardedRewriteCache {
   ShardedRewriteCache(const ShardedRewriteCache&) = delete;
   ShardedRewriteCache& operator=(const ShardedRewriteCache&) = delete;
 
-  /// Returns the cached entry or nullopt. A hit refreshes the entry's
-  /// recency stamp.
-  std::optional<CachedQuery> Lookup(const std::string& key);
+  /// Returns the cached entry, or null on a miss. A hit refreshes the
+  /// entry's recency stamp.
+  std::shared_ptr<const CachedQuery> Lookup(const std::string& key);
 
   /// Inserts `value` under `key`, evicting the least-recently-used
   /// entry of the target shard when it is full. Keeps the existing
   /// value on a key collision (see InsertOutcome::value).
-  InsertOutcome Insert(const std::string& key, CachedQuery value);
-
-  /// Stores a compiled plan on the existing entry for `key` (a no-op
-  /// when the entry already has one, or was evicted since the lookup).
-  AttachOutcome AttachPlan(const std::string& key,
-                           std::shared_ptr<const CompiledPlan> plan);
+  InsertOutcome Insert(const std::string& key,
+                       std::shared_ptr<const CachedQuery> value);
 
   /// Drops every entry (all shards locked exclusively, one at a time).
   void Clear();
@@ -129,15 +109,11 @@ class ShardedRewriteCache {
   size_t ShardSize(size_t i) const;
   /// Byte footprint of shard `i` (keys + AST estimates + plan tables).
   size_t ShardBytes(size_t i) const;
-  /// Resident compiled plans in shard `i`.
-  size_t ShardPlans(size_t i) const;
   /// Total entries across shards (each shard read under its own lock;
   /// the sum is approximate while writers are active, exact at rest).
   size_t size() const;
   /// Total byte footprint across shards (same caveat as size()).
   size_t bytes() const;
-  /// Total resident compiled plans across shards (same caveat).
-  size_t plans() const;
   /// Lifetime evictions across shards.
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
@@ -146,19 +122,19 @@ class ShardedRewriteCache {
   /// Shard a key maps to (exposed for tests and metric labelling).
   size_t ShardIndex(const std::string& key) const;
 
-  /// Footprint estimate an entry is admitted with: key bytes + AST node
-  /// estimate (shared subexpressions counted once per occurrence) +
+  /// Footprint estimate an entry is admitted with: key bytes + entry
+  /// struct + AST estimates (shared subexpressions counted once per
+  /// occurrence; an unoptimized entry's single AST counted once) +
   /// compiled-plan byte_size(). Exposed for tests.
   static size_t EntryFootprintBytes(const std::string& key,
                                     const CachedQuery& value);
 
  private:
   struct Entry {
-    CachedQuery value;
-    /// Footprint recorded at admission (updated by AttachPlan), so
-    /// eviction subtracts exactly what insertion added.
+    std::shared_ptr<const CachedQuery> value;
+    /// Footprint recorded at admission, so eviction subtracts exactly
+    /// what insertion added.
     size_t bytes = 0;
-    size_t plan_bytes = 0;
     /// Recency stamp; atomic so hits can refresh it under the shared
     /// lock while other readers race on the same entry.
     std::atomic<uint64_t> last_used{0};
@@ -169,11 +145,9 @@ class ShardedRewriteCache {
     /// unique_ptr values keep Entry (with its atomic) stable across
     /// rehashes.
     std::unordered_map<std::string, std::unique_ptr<Entry>> map;
-    /// Byte/plan accounting, written under the exclusive lock and read
-    /// under the shared lock.
+    /// Byte accounting, written under the exclusive lock and read under
+    /// the shared lock.
     size_t bytes = 0;
-    size_t plan_bytes = 0;
-    size_t plans = 0;
   };
 
   uint64_t NextTick() { return tick_.fetch_add(1, std::memory_order_relaxed); }

@@ -1,5 +1,6 @@
 #include "xml/tree.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace secview {
@@ -11,6 +12,7 @@ XmlTree XmlTree::Clone() const {
   copy.label_ids_ = label_ids_;
   copy.texts_ = texts_;
   copy.attrs_ = attrs_;
+  copy.height_ = height_;
   return copy;
 }
 
@@ -18,7 +20,11 @@ NodeId XmlTree::NewNode(NodeKind kind, NodeId parent) {
   NodeId id = static_cast<NodeId>(nodes_.size());
   Node node;
   node.kind = kind;
+  node.depth = parent == kNullNode ? 0 : nodes_[parent].depth + 1;
   node.parent = parent;
+  // A root starts a fresh tree (CreateRoot requires an empty arena).
+  const int depth = static_cast<int>(node.depth);
+  height_ = parent == kNullNode ? 0 : std::max(height_, depth);
   nodes_.push_back(node);
   if (parent != kNullNode) {
     Node& p = nodes_[parent];
@@ -145,19 +151,6 @@ const std::vector<std::pair<std::string, std::string>>& XmlTree::Attributes(
   const Node& n = nodes_[node];
   if (n.attrs_id < 0) return kEmpty;
   return attrs_[n.attrs_id];
-}
-
-int XmlTree::Height() const {
-  if (nodes_.empty()) return -1;
-  // Nodes are in document order, so a child's depth can be computed from
-  // its parent in a single forward pass.
-  std::vector<int> depth(nodes_.size(), 0);
-  int height = 0;
-  for (size_t i = 1; i < nodes_.size(); ++i) {
-    depth[i] = depth[nodes_[i].parent] + 1;
-    if (depth[i] > height) height = depth[i];
-  }
-  return height;
 }
 
 std::string XmlTree::CollectText(NodeId n) const {

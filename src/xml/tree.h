@@ -124,8 +124,9 @@ class XmlTree {
 
   /// Height of the subtree rooted at the tree root: a single node has
   /// height 0. Returns -1 for an empty tree. Used to pick the unfolding
-  /// depth for recursive views (paper Section 4.2).
-  int Height() const;
+  /// depth for recursive views (paper Section 4.2). O(1): maintained as
+  /// nodes are created.
+  int Height() const { return nodes_.empty() ? -1 : height_; }
 
   /// Concatenation of all text values directly under element `n`.
   std::string CollectText(NodeId n) const;
@@ -147,7 +148,10 @@ class XmlTree {
 
  private:
   struct Node {
-    NodeKind kind;
+    // kind and depth share the first word, so recording the depth costs
+    // no space; 31 bits hold the depth of any tree NodeId can address.
+    NodeKind kind : 1;
+    uint32_t depth : 31;      // root = 0
     int32_t label_id = -1;    // index into labels_, elements only
     NodeId parent = kNullNode;
     NodeId first_child = kNullNode;
@@ -157,6 +161,7 @@ class XmlTree {
     int32_t text_id = -1;     // index into texts_, text nodes only
     int32_t attrs_id = -1;    // index into attrs_, lazily created
   };
+  static_assert(sizeof(Node) == 36, "Node must stay nine words");
 
   NodeId NewNode(NodeKind kind, NodeId parent);
   int InternLabel(std::string_view label);
@@ -166,6 +171,7 @@ class XmlTree {
   std::unordered_map<std::string, int> label_ids_;
   std::vector<std::string> texts_;
   std::vector<std::vector<std::pair<std::string, std::string>>> attrs_;
+  int height_ = 0;  // max Node::depth
 };
 
 }  // namespace secview

@@ -284,6 +284,41 @@ TEST(ChaosTest, PlanCompileFaultFallsBackToAstEvaluation) {
             fallbacks_before);
 }
 
+TEST(ChaosTest, PlanCompileFaultLeavesEntryUncachedUntilCleanCompile) {
+  auto engine = MakeEngine();
+  XmlTree doc = MakeDoc();
+  FailPointRegistry& registry = FailPointRegistry::Instance();
+  registry.DisarmAll();
+  ExecuteOptions options = NurseOptions();
+  obs::MetricsRegistry& metrics = engine->metrics();
+
+  ASSERT_TRUE(registry.ArmFromSpec("plan.compile=every:1").ok());
+  auto degraded = engine->Execute("nurse", doc, "//patient//bill", options);
+  registry.DisarmAll();
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  EXPECT_FALSE(degraded->stats.compiled);
+  EXPECT_EQ(metrics.GetGauge("engine.cache.size").value(), 0);
+  EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(), 0);
+  EXPECT_EQ(CounterValue(metrics, "engine.plan.fallbacks"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "engine.plan.compiles"), 0u);
+
+  // The next clean execution misses again, compiles, and caches.
+  auto clean = engine->Execute("nurse", doc, "//patient//bill", options);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_FALSE(clean->stats.cache_hit);
+  EXPECT_TRUE(clean->stats.compiled);
+  EXPECT_EQ(clean->nodes, degraded->nodes);
+  EXPECT_EQ(CounterValue(metrics, "engine.plan.compiles"), 1u);
+  EXPECT_EQ(metrics.GetGauge("engine.cache.size").value(), 1);
+  EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(), 1);
+
+  auto hit = engine->Execute("nurse", doc, "//patient//bill", options);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->stats.cache_hit);
+  EXPECT_TRUE(hit->stats.compiled);
+  EXPECT_EQ(CounterValue(metrics, "engine.plan.fallbacks"), 1u);
+}
+
 TEST(ChaosTest, SustainedInjectionDegradesHealthThenRecovers) {
   auto engine = MakeEngine();
   XmlTree doc = MakeDoc();

@@ -134,7 +134,8 @@ TEST_F(CliTest, QueryStats) {
   std::string text = out_.str();
   // Nonzero counters for the rewrite, optimize, and evaluate phases.
   EXPECT_NE(text.find("# stats:"), std::string::npos) << text;
-  EXPECT_NE(text.find("rewrite.queries = 2"), std::string::npos) << text;
+  // One preparation per execution: the query is rewritten once.
+  EXPECT_NE(text.find("rewrite.queries = 1"), std::string::npos) << text;
   EXPECT_NE(text.find("optimize.queries = 1"), std::string::npos) << text;
   EXPECT_NE(text.find("eval.nodes_touched = "), std::string::npos);
   EXPECT_EQ(text.find("eval.nodes_touched = 0"), std::string::npos);
@@ -621,7 +622,7 @@ TEST_F(CliTest, BadBindSyntax) {
 }
 
 TEST_F(CliTest, BenchServeReportsThroughputAndCacheHits) {
-  WriteFile("queries.txt",
+  WriteFile("bench_queries.txt",
             "# mixed serving workload\n"
             "//name\n"
             "//patient\n"
@@ -630,7 +631,7 @@ TEST_F(CliTest, BenchServeReportsThroughputAndCacheHits) {
             "  //bill  \n");
   EXPECT_EQ(Run({"bench-serve", "--dtd", Path("hospital.dtd"), "--spec",
                  Path("nurse.spec"), "--xml", Path("doc.xml"), "--queries",
-                 Path("queries.txt"), "--threads", "2", "--repeat", "3",
+                 Path("bench_queries.txt"), "--threads", "2", "--repeat", "3",
                  "--bind", "wardNo=3"}),
             0)
       << err_.str();
@@ -640,8 +641,9 @@ TEST_F(CliTest, BenchServeReportsThroughputAndCacheHits) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("queries/sec"), std::string::npos);
-  // The warm-up batch populates the cache; the 3 measured batches hit.
-  EXPECT_NE(text.find("cache: 24 hits, 8 misses"), std::string::npos) << text;
+  // The warm-up batch populates the cache (one entry per query); the 3
+  // measured batches hit.
+  EXPECT_NE(text.find("cache: 12 hits, 4 misses"), std::string::npos) << text;
 }
 
 TEST_F(CliTest, BenchServeRejectsEmptyQueriesFile) {
@@ -785,13 +787,13 @@ TEST_F(CliTest, ScrapeRequiresAddress) {
 }
 
 TEST_F(CliTest, BenchServeStartsTelemetryWhenRequested) {
-  WriteFile("queries.txt", "//name\n//patient\n");
+  WriteFile("telemetry_queries.txt", "//name\n//patient\n");
   std::string port_file = Path("bench.port");
   std::remove(port_file.c_str());
   EXPECT_EQ(Run({"bench-serve", "--dtd", Path("hospital.dtd"), "--spec",
                  Path("nurse.spec"), "--xml", Path("doc.xml"), "--queries",
-                 Path("queries.txt"), "--threads", "2", "--repeat", "2",
-                 "--bind", "wardNo=3", "--telemetry-addr", "127.0.0.1:0",
+                 Path("telemetry_queries.txt"), "--threads", "2", "--repeat",
+                 "2", "--bind", "wardNo=3", "--telemetry-addr", "127.0.0.1:0",
                  "--port-file", port_file}),
             0)
       << err_.str();
@@ -878,7 +880,7 @@ TEST_F(CliTest, HelpListsTraceExport) {
 }
 
 TEST_F(CliTest, ServeExposesLiveEndpointsEndToEnd) {
-  WriteFile("queries.txt", "//name\n//patient//bill\n");
+  WriteFile("live_queries.txt", "//name\n//patient//bill\n");
   std::string port_file = Path("serve.port");
   std::remove(port_file.c_str());
 
@@ -891,7 +893,7 @@ TEST_F(CliTest, ServeExposesLiveEndpointsEndToEnd) {
     serve_rc = RunCli(
         {"serve", "--dtd", Path("hospital.dtd"), "--spec",
          Path("nurse.spec"), "--xml", Path("doc.xml"), "--queries",
-         Path("queries.txt"), "--bind", "wardNo=3", "--replay-delay-ms",
+         Path("live_queries.txt"), "--bind", "wardNo=3", "--replay-delay-ms",
          "10", "--max-seconds", "3", "--slow-query-micros", "0",
          "--trace-sample", "1", "--port-file", port_file},
         serve_out, serve_err);
@@ -1083,7 +1085,7 @@ TEST_F(CliTest, AuditVerifyReportsSeqGapsFromDroppedEvents) {
 }
 
 TEST_F(CliTest, ServeWritesAuditTrailWithSummary) {
-  WriteFile("queries.txt", "//name\n");
+  WriteFile("audit_queries.txt", "//name\n");
   std::string log_path = Path("serve_audit.jsonl");
   std::remove(log_path.c_str());
   std::ostringstream serve_out;
@@ -1092,9 +1094,9 @@ TEST_F(CliTest, ServeWritesAuditTrailWithSummary) {
   std::thread server([&] {
     serve_rc = RunCli({"serve", "--dtd", Path("hospital.dtd"), "--spec",
                        Path("nurse.spec"), "--xml", Path("doc.xml"),
-                       "--queries", Path("queries.txt"), "--bind", "wardNo=3",
-                       "--replay-delay-ms", "10", "--max-seconds", "1",
-                       "--audit-log", log_path},
+                       "--queries", Path("audit_queries.txt"), "--bind",
+                       "wardNo=3", "--replay-delay-ms", "10", "--max-seconds",
+                       "1", "--audit-log", log_path},
                       serve_out, serve_err);
   });
   server.join();

@@ -79,6 +79,17 @@ ExecuteOptions NurseOptions() {
   return options;
 }
 
+// A cache entry whose rewritten and evaluated AST is `query`, with its
+// compiled plan when `with_plan` is set.
+std::shared_ptr<const CachedQuery> MakeEntry(const PathPtr& query,
+                                             bool with_plan = false) {
+  auto entry = std::make_shared<CachedQuery>();
+  entry->rewritten = query;
+  entry->evaluated = query;
+  if (with_plan) entry->plan = CompilePlan(query);
+  return entry;
+}
+
 TEST(ShardedRewriteCacheTest, LookupInsertEvict) {
   ShardedRewriteCache::Options options;
   options.shards = 2;
@@ -86,7 +97,7 @@ TEST(ShardedRewriteCacheTest, LookupInsertEvict) {
   ShardedRewriteCache cache(options);
   EXPECT_EQ(cache.shard_count(), 2u);
   EXPECT_EQ(cache.shard_capacity(), 2u);
-  EXPECT_FALSE(cache.Lookup("missing").has_value());
+  EXPECT_EQ(cache.Lookup("missing"), nullptr);
 
   // Insert more keys than the budget; every shard stays within its
   // capacity, evictions are counted, and the byte accounting shrinks
@@ -94,7 +105,7 @@ TEST(ShardedRewriteCacheTest, LookupInsertEvict) {
   for (int i = 0; i < 20; ++i) {
     auto r = ParseXPath("//bill");
     ASSERT_TRUE(r.ok());
-    cache.Insert("key" + std::to_string(i), CachedQuery{*r, nullptr});
+    cache.Insert("key" + std::to_string(i), MakeEntry(*r));
   }
   EXPECT_LE(cache.ShardSize(0), cache.shard_capacity());
   EXPECT_LE(cache.ShardSize(1), cache.shard_capacity());
@@ -110,17 +121,16 @@ TEST(ShardedRewriteCacheTest, LookupInsertEvict) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
-  auto first = cache.Insert("k", CachedQuery{*a, nullptr});
+  auto first = cache.Insert("k", MakeEntry(*a));
   EXPECT_TRUE(first.inserted);
   EXPECT_EQ(first.bytes_delta,
-            static_cast<int64_t>(
-                ShardedRewriteCache::EntryFootprintBytes(
-                    "k", CachedQuery{*a, nullptr})));
-  auto second = cache.Insert("k", CachedQuery{*b, nullptr});
+            static_cast<int64_t>(ShardedRewriteCache::EntryFootprintBytes(
+                "k", *MakeEntry(*a))));
+  auto second = cache.Insert("k", MakeEntry(*b));
   EXPECT_FALSE(second.inserted);
-  EXPECT_EQ(second.value.query.get(), a->get());
+  EXPECT_EQ(second.value->evaluated.get(), a->get());
   EXPECT_EQ(second.bytes_delta, 0);
-  EXPECT_EQ(cache.Lookup("k")->query.get(), a->get());
+  EXPECT_EQ(cache.Lookup("k")->evaluated.get(), a->get());
 }
 
 TEST(ShardedRewriteCacheTest, LruIshEvictionKeepsRecentlyUsed) {
@@ -130,70 +140,60 @@ TEST(ShardedRewriteCacheTest, LruIshEvictionKeepsRecentlyUsed) {
   ShardedRewriteCache cache(options);
   auto q = ParseXPath("//bill");
   ASSERT_TRUE(q.ok());
-  cache.Insert("a", CachedQuery{*q, nullptr});
-  cache.Insert("b", CachedQuery{*q, nullptr});
-  cache.Insert("c", CachedQuery{*q, nullptr});
+  cache.Insert("a", MakeEntry(*q));
+  cache.Insert("b", MakeEntry(*q));
+  cache.Insert("c", MakeEntry(*q));
   // Touch "a" so "b" is now the least recently used.
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  cache.Insert("d", CachedQuery{*q, nullptr});
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  EXPECT_FALSE(cache.Lookup("b").has_value());
-  EXPECT_TRUE(cache.Lookup("c").has_value());
-  EXPECT_TRUE(cache.Lookup("d").has_value());
+  EXPECT_NE(cache.Lookup("a"), nullptr);
+  cache.Insert("d", MakeEntry(*q));
+  EXPECT_NE(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.Lookup("b"), nullptr);
+  EXPECT_NE(cache.Lookup("c"), nullptr);
+  EXPECT_NE(cache.Lookup("d"), nullptr);
 }
 
 TEST(ShardedRewriteCacheTest, CompiledPlanEvictionKeepsAccountingExact) {
-  // Entries with compiled plans attached must evict with their byte and
-  // plan counts subtracted exactly.
+  // Entries carrying compiled plans must evict with their byte and plan
+  // byte counts subtracted exactly.
   ShardedRewriteCache::Options options;
   options.shards = 1;
   options.capacity = 2;
   ShardedRewriteCache cache(options);
   auto q = ParseXPath("//bill");
   ASSERT_TRUE(q.ok());
-  auto plan = CompilePlan(*q);
-  ASSERT_NE(plan, nullptr);
 
-  auto first = cache.Insert("a", CachedQuery{*q, plan});
-  EXPECT_EQ(first.plans_delta, 1);
-  EXPECT_EQ(first.plan_bytes_delta, static_cast<int64_t>(plan->byte_size()));
-  cache.Insert("b", CachedQuery{*q, nullptr});
-  EXPECT_EQ(cache.plans(), 1u);
-  EXPECT_EQ(cache.ShardPlans(0), 1u);
+  auto first = cache.Insert("a", MakeEntry(*q, /*with_plan=*/true));
+  ASSERT_NE(first.value->plan, nullptr);
+  const int64_t plan_bytes =
+      static_cast<int64_t>(first.value->plan->byte_size());
+  EXPECT_EQ(first.plan_bytes_delta, plan_bytes);
+  EXPECT_EQ(first.bytes_delta,
+            static_cast<int64_t>(
+                ShardedRewriteCache::EntryFootprintBytes("a", *first.value)));
+  auto second = cache.Insert("b", MakeEntry(*q, /*with_plan=*/true));
+  EXPECT_EQ(cache.bytes(), static_cast<size_t>(first.bytes_delta +
+                                               second.bytes_delta));
 
-  // AttachPlan on the plan-less entry; a second attach is a no-op that
-  // returns the resident plan.
-  auto attach = cache.AttachPlan("b", CompilePlan(*q));
-  EXPECT_TRUE(attach.attached);
-  EXPECT_EQ(attach.plans_delta, 1);
-  auto again = cache.AttachPlan("b", CompilePlan(*q));
-  EXPECT_FALSE(again.attached);
-  EXPECT_EQ(again.plan.get(), attach.plan.get());
-  EXPECT_EQ(cache.plans(), 2u);
-
-  // Filling past capacity evicts plan-carrying entries; the deltas and
-  // totals must return to exactly what the resident entries account for.
+  // Filling past capacity evicts a plan-carrying entry; the deltas net
+  // to zero for same-sized entries and the totals still equal exactly
+  // what the resident entries account for.
   cache.Lookup("b");  // make "a" the LRU victim
-  auto evicting = cache.Insert("c", CachedQuery{*q, CompilePlan(*q)});
+  auto evicting = cache.Insert("c", MakeEntry(*q, /*with_plan=*/true));
   EXPECT_TRUE(evicting.evicted);
-  EXPECT_EQ(evicting.plans_delta, 0);  // evicted one with a plan, added one
-  EXPECT_EQ(cache.plans(), 2u);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
+  EXPECT_EQ(evicting.plan_bytes_delta, 0);  // evicted one plan, added one
+  EXPECT_EQ(evicting.bytes_delta, 0);
+  EXPECT_EQ(cache.bytes(), static_cast<size_t>(first.bytes_delta +
+                                               second.bytes_delta));
+  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
 
-  // An insert colliding with a plan-less resident grafts its plan on.
-  ShardedRewriteCache graft_cache(options);
-  graft_cache.Insert("k", CachedQuery{*q, nullptr});
-  EXPECT_EQ(graft_cache.plans(), 0u);
-  auto graft = graft_cache.Insert("k", CachedQuery{*q, CompilePlan(*q)});
-  EXPECT_FALSE(graft.inserted);
-  EXPECT_EQ(graft.plans_delta, 1);
-  EXPECT_NE(graft.value.plan, nullptr);
-  EXPECT_EQ(graft_cache.plans(), 1u);
+  cache.Clear();
+  EXPECT_EQ(cache.bytes(), 0u);
 }
 
 TEST(ConcurrentEngineTest, CompiledPlanEvictionUnderContentionIsRaceFree) {
   // A tiny cache and a query stream wider than it: every thread drives
-  // compiles, plan attaches, grafts, and evictions of entries whose
+  // compiles, same-key insert collisions, and evictions of entries whose
   // bytecode other threads are concurrently executing. TSan-clean is
   // the point; results must still match the serial engine.
   XmlTree doc = MakeHospitalDoc();
@@ -230,13 +230,15 @@ TEST(ConcurrentEngineTest, CompiledPlanEvictionUnderContentionIsRaceFree) {
   EXPECT_GT(engine->metrics().GetCounter("engine.cache.evictions").value(),
             0u);
   EXPECT_GT(engine->metrics().GetCounter("engine.plan.compiles").value(), 0u);
-  // Gauges must stay balanced after the dust settles: every insert,
-  // evict, and attach delta netted out against resident entries.
+  // Gauges must stay balanced after the dust settles: every insert and
+  // evict delta netted out against resident entries, each with a plan.
   const int64_t plan_count =
       engine->metrics().GetGauge("engine.plan.cached").value();
   const int64_t plan_bytes =
       engine->metrics().GetGauge("engine.plan.cache_bytes").value();
-  EXPECT_GE(plan_count, 0);
+  EXPECT_EQ(plan_count,
+            engine->metrics().GetGauge("engine.cache.size").value());
+  EXPECT_LE(plan_count, 4);
   EXPECT_GT(plan_bytes, 0);
   EXPECT_GT(engine->metrics().GetGauge("engine.cache.bytes").value(), 0);
 }

@@ -166,20 +166,59 @@ TEST_F(EngineTest, PlanCompilesOncePerEntryAndMetricsTrackResidency) {
   EXPECT_EQ(metrics.GetCounter("eval.compiled_queries").value(), 2u);
   EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(), 1);
 
-  // Rewrite() primes an entry without a plan; the first compiled
-  // execution lazily attaches one to it.
+  // Rewrite() prepares the same entry Execute reads, plan included, so
+  // the execution after it compiles nothing.
   ASSERT_TRUE(engine_->Rewrite("nurse", "//medication", true).ok());
-  EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 2u);
   ASSERT_TRUE(engine_->Execute("nurse", doc_, "//medication", options).ok());
   EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 2u);
   EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(), 2);
 
-  // An AST-path execution neither compiles nor runs the VM.
+  // An AST-path execution still caches a plan-carrying entry on a miss,
+  // but does not run the VM.
   ExecuteOptions ast = options;
   ast.use_compiled = false;
   ASSERT_TRUE(engine_->Execute("nurse", doc_, "//wardNo", ast).ok());
-  EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 3u);
   EXPECT_EQ(metrics.GetCounter("eval.compiled_queries").value(), 3u);
+  EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(),
+            metrics.GetGauge("engine.cache.size").value());
+}
+
+TEST_F(EngineTest, OptimizedColdExecuteAddsExactlyOneEntry) {
+  ExecuteOptions options;
+  options.bindings = {{"wardNo", "3"}};
+  ASSERT_TRUE(engine_->CanOptimize());
+  auto& metrics = engine_->metrics();
+  auto result = engine_->Execute("nurse", doc_, "//patient//bill", options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(metrics.GetGauge("engine.cache.size").value(), 1);
+  EXPECT_EQ(metrics.GetGauge("policy.nurse.cache_size").value(), 1);
+  EXPECT_EQ(metrics.GetCounter("engine.cache.misses").value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("rewrite.queries").value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 1u);
+  // The one entry still reports both ASTs.
+  ASSERT_NE(result->rewritten, nullptr);
+  ASSERT_NE(result->evaluated, nullptr);
+  EXPECT_EQ(result->stats.ast_size_rewritten, PathSize(result->rewritten));
+  EXPECT_EQ(result->stats.ast_size_evaluated, PathSize(result->evaluated));
+}
+
+TEST_F(EngineTest, RewriteAfterExecuteIsACacheHit) {
+  ExecuteOptions options;
+  options.bindings = {{"wardNo", "3"}};
+  auto& metrics = engine_->metrics();
+  ASSERT_TRUE(engine_->Execute("nurse", doc_, "//bill", options).ok());
+  const uint64_t hits = metrics.GetCounter("engine.cache.hits").value();
+  auto rewritten = engine_->Rewrite("nurse", "//bill", true);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+  EXPECT_EQ(metrics.GetCounter("engine.cache.hits").value(), hits + 1);
+  EXPECT_EQ(metrics.GetCounter("engine.cache.misses").value(), 1u);
+  EXPECT_EQ(metrics.GetGauge("engine.cache.size").value(), 1);
+  // Rewrite returns the evaluated (optimized, unbound) AST of the entry.
+  auto again = engine_->Rewrite("nurse", "//bill", true);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(rewritten->get(), again->get());
 }
 
 TEST_F(EngineTest, ProfileOptionYieldsStepTreeWithExactAttribution) {
@@ -232,16 +271,16 @@ TEST_F(EngineTest, AttachedPlanProfileTableImpliesProfiling) {
 TEST_F(EngineTest, MetricsTrackCacheHitsAndQueryCounts) {
   ExecuteOptions options;
   options.bindings = {{"wardNo", "3"}};
-  // Each Execute prepares the unoptimized (provenance) and optimized
-  // entries, so a cold query costs two misses and a warm one two hits.
+  // Each Execute looks up one entry, so a cold query costs one miss and
+  // a warm one one hit.
   ASSERT_TRUE(engine_->Execute("nurse", doc_, "//bill", options).ok());
   obs::MetricsRegistry& metrics = engine_->metrics();
-  EXPECT_EQ(metrics.GetCounter("engine.cache.misses").value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("engine.cache.misses").value(), 1u);
   EXPECT_EQ(metrics.GetCounter("engine.cache.hits").value(), 0u);
 
   ASSERT_TRUE(engine_->Execute("nurse", doc_, "//bill", options).ok());
-  EXPECT_EQ(metrics.GetCounter("engine.cache.misses").value(), 2u);
-  EXPECT_EQ(metrics.GetCounter("engine.cache.hits").value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("engine.cache.misses").value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("engine.cache.hits").value(), 1u);
 
   EXPECT_EQ(metrics.GetCounter("engine.queries").value(), 2u);
   EXPECT_EQ(metrics.GetCounter("policy.nurse.queries").value(), 2u);
@@ -562,6 +601,38 @@ TEST(EngineRecursiveTest, CacheIsKeyedByUnfoldDepth) {
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third->nodes.size(), 3u);
   EXPECT_TRUE(third->stats.cache_hit);
+}
+
+TEST(EngineRecursiveTest, OptimizeOnAndOffShareOneEntry) {
+  // A recursive document DTD has no optimizer, so the optimize flag
+  // changes nothing and must not split the cache.
+  RecursiveFixture fixture = MakeRecursiveFixture();
+  auto engine = SecureQueryEngine::Create(std::move(fixture.dtd));
+  ASSERT_TRUE(engine.ok());
+  ASSERT_FALSE((*engine)->CanOptimize());
+  ASSERT_TRUE((*engine)->RegisterPolicy("outline", fixture.spec_text).ok());
+  auto doc = ParseXml(
+      "<doc><section><title>a</title><meta>"
+      "<section><title>b</title><meta/></section>"
+      "</meta></section></doc>");
+  ASSERT_TRUE(doc.ok());
+
+  ExecuteOptions on;
+  on.optimize = true;
+  ExecuteOptions off;
+  off.optimize = false;
+  auto first = (*engine)->Execute("outline", *doc, "//title", on);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_FALSE(first->stats.cache_hit);
+  auto second = (*engine)->Execute("outline", *doc, "//title", off);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second->stats.cache_hit);
+  EXPECT_EQ(second->nodes, first->nodes);
+  EXPECT_EQ(second->rewritten.get(), first->rewritten.get());  // one entry
+  obs::MetricsRegistry& metrics = (*engine)->metrics();
+  EXPECT_EQ(metrics.GetGauge("engine.cache.size").value(), 1);
+  EXPECT_EQ(metrics.GetCounter("engine.cache.misses").value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 1u);
 }
 
 TEST(EngineCreateTest, UnfinalizedDtdIsFinalized) {

@@ -184,6 +184,15 @@ struct EquivCase {
   const char* query;
 };
 
+// Prints a case as its quoted query text. ctest ids carry the printed
+// parameter, and the default printer spells a struct as its raw bytes,
+// pointers included, so the ids would change from build to build. The
+// quotes keep an id such as `.` from ending in a dot that ctest's
+// dot-padded report would swallow.
+void PrintTo(const EquivCase& c, std::ostream* os) {
+  *os << testing::PrintToString(std::string(c.query));
+}
+
 class HospitalEquivalenceTest : public HospitalRewriteTest,
                                 public testing::WithParamInterface<EquivCase> {
 };

@@ -84,6 +84,21 @@ TEST(XmlTreeTest, HeightAndText) {
   EXPECT_EQ(t.CollectText(root), "");
 }
 
+TEST(XmlTreeTest, HeightIsExactBeyondTheParserDepthCap) {
+  // Trees built in code are not bound by the parser's depth cap; the
+  // recorded depth must stay exact past 16 bits, through Clone, and
+  // while later siblings sit shallower than the deepest node.
+  XmlTree t;
+  EXPECT_EQ(t.Height(), -1);
+  NodeId n = t.CreateRoot("r");
+  EXPECT_EQ(t.Height(), 0);
+  constexpr int kDepth = 70'000;
+  for (int i = 0; i < kDepth; ++i) n = t.AppendElement(n, "a");
+  t.AppendElement(t.root(), "b");
+  EXPECT_EQ(t.Height(), kDepth);
+  EXPECT_EQ(t.Clone().Height(), kDepth);
+}
+
 TEST(XmlTreeTest, OriginTracking) {
   XmlTree t;
   NodeId root = t.CreateRoot("r");

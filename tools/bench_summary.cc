@@ -6,8 +6,8 @@
 //   bench_summary FILE.json             # flatten one file
 //   bench_summary --fail-above 20 OLD.json NEW.json
 //                                       # exit 3 if any metric grew >20%
-//   bench_summary --fail-above 50 OLD.json BENCH_concurrent.json
-//                                       # gate a bench_concurrent run
+//   bench_summary --fail-above 50 OLD.json NEW.json
+//                                       # gate two bench_concurrent runs
 //                                       # (its qps gauges are wall-clock,
 //                                       # so budget generously)
 //
