@@ -92,13 +92,14 @@ int EmitEvalMetrics(const std::string& path) {
       "//buyer-info//contact-info",
       "body/ad-instance/content/real-estate/house/r-e.warranty",
       "//house//r-e.warranty", "*/*/*/*"};
+  const EvalMetrics eval_metrics = EvalMetrics::Resolve(registry);
   for (const char* text : queries) {
     auto q = ParseXPath(text);
     if (!q.ok()) return 1;
     std::shared_ptr<const CompiledPlan> plan =
         g_use_compiled ? CompilePlan(*q) : nullptr;
     XPathEvaluator evaluator(doc);
-    evaluator.set_metrics(&registry);
+    evaluator.set_metrics(&eval_metrics);
     PlanProfiler profiler;
     evaluator.set_profiler(&profiler);
     obs::ScopedTimer timer(&registry.GetHistogram("phase.evaluate.micros"));

@@ -41,10 +41,11 @@ scripts/trace_smoke.sh "$BUILD_DIR"
 scripts/profile_smoke.sh "$BUILD_DIR"
 
 # Memory-observatory smoke: serve --heap-sample, scrape /heapz (text and
-# secview.heap.v1 JSON) and /memz, round-trip the profile through
-# `heap-export`, and an off-mode throughput sanity A/B. Under this ASan
-# build the profiler refuses to sample (skip notice) and the script
-# degrades to the endpoint and export checks. Export
+# secview.heap.v2 JSON) and /memz (the RSS / peak-RSS process line),
+# round-trip the profile through `heap-export`, and a sampling-off vs
+# sampling-on throughput sanity A/B. Under this ASan build the profiler
+# refuses to sample (skip notice) and the script degrades to the
+# endpoint and export checks. Export
 # SECVIEW_BASELINE_BIN=<pre-observatory secview> for a strict 2% gate.
 scripts/heap_smoke.sh "$BUILD_DIR"
 
@@ -115,7 +116,7 @@ cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
 # heap_test races ledger charges, scratch-pool publication, and snapshot
 # scrapes against each other; the sampling profiler itself auto-skips
 # under TSan (it cannot compose with the interposed allocator), so this
-# run proves the always-on accounting side is race-free.
+# run proves the ledger and scratch-pool accounting is race-free.
 "$TSAN_BUILD_DIR"/tests/heap_test
 
 # End-to-end correctness gate: one short run of each perfbench workload

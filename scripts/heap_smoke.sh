@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the memory observatory: `serve --heap-sample`
-# samples allocation sites; /heapz renders text and the secview.heap.v1
-# JSON that round-trips through `heap-export` (text, collapsed, JSON);
-# /memz reports the subsystem ledger with the served document charged;
-# and an off-mode A/B run of bench-serve checks that the always-linked
-# accounting does not cost throughput.
+# samples allocation sites; /heapz renders text (with the process RSS /
+# peak-RSS line) and the secview.heap.v2 JSON that round-trips through
+# `heap-export` (text, collapsed, JSON); /memz reports the process line
+# and the subsystem ledger with the served document charged; and an
+# off-mode A/B run of bench-serve checks that the profiler's detached
+# observer hooks do not cost throughput.
 #
 # Overhead modes:
 #   - With SECVIEW_BASELINE_BIN set to a pre-observatory secview binary,
@@ -151,8 +152,8 @@ echo "== /heapz (text) =="
 HEAPZ="$("$SECVIEW" scrape --port "$PORT" --retries 3 --path /heapz)"
 echo "$HEAPZ" | grep -q 'heap profile:' || {
   echo "heap_smoke: /heapz missing site header" >&2; exit 1; }
-echo "$HEAPZ" | grep -q 'process: live' || {
-  echo "heap_smoke: /heapz missing process counters" >&2; exit 1; }
+echo "$HEAPZ" | grep -q 'process: rss [0-9]*B, peak rss [0-9]*B' || {
+  echo "heap_smoke: /heapz missing process RSS line" >&2; exit 1; }
 
 echo "== /heapz?format=json =="
 if [[ "$SAMPLING" == 1 ]]; then
@@ -173,11 +174,11 @@ else
   "$SECVIEW" scrape --port "$PORT" --retries 3 \
     --path '/heapz?format=json' > "$WORK/heapz.json"
 fi
-grep -q '"schema": "secview.heap.v1"' "$WORK/heapz.json" || {
+grep -q '"schema": "secview.heap.v2"' "$WORK/heapz.json" || {
   echo "heap_smoke: /heapz JSON missing schema tag" >&2; exit 1; }
 
 echo "== heap-export round-trip (text, collapsed, JSON) =="
-# Every heap-export run re-validates its input against secview.heap.v1.
+# Every heap-export run re-validates its input against secview.heap.v2.
 "$SECVIEW" heap-export --in "$WORK/heapz.json" --k 5 > "$WORK/heap.txt"
 grep -q 'heap profile:' "$WORK/heap.txt" || {
   echo "heap_smoke: heap-export text render missing header" >&2
@@ -193,14 +194,14 @@ grep -q 'heap profile:' "$WORK/heap.txt" || {
 
 echo "== /memz (ledger) =="
 MEMZ="$("$SECVIEW" scrape --port "$PORT" --retries 3 --path /memz)"
-echo "$MEMZ" | grep -q 'process: live' || {
-  echo "heap_smoke: /memz missing process line" >&2; exit 1; }
+echo "$MEMZ" | grep -q 'process: rss [0-9]*B, peak rss [0-9]*B' || {
+  echo "heap_smoke: /memz missing process RSS line" >&2; exit 1; }
 echo "$MEMZ" | grep -q 'memory ledger' || {
   echo "heap_smoke: /memz missing ledger" >&2; exit 1; }
 echo "$MEMZ" | grep -q 'xml.doc:' || {
   echo "heap_smoke: /memz missing the document account" >&2; exit 1; }
 "$SECVIEW" scrape --port "$PORT" --retries 3 --path '/memz?format=json' \
-  | grep -q '"schema": "secview.mem.v1"' || {
+  | grep -q '"schema": "secview.mem.v2"' || {
   echo "heap_smoke: /memz JSON missing schema tag" >&2; exit 1; }
 
 echo "== graceful shutdown (SIGINT) =="

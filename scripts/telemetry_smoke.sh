@@ -133,8 +133,8 @@ echo "$STATUSZ" | grep -q 'query=//patient//bill' || {
 
 echo "== /heapz =="
 "$SECVIEW" scrape --port "$PORT" --retries 3 --path /heapz \
-  | grep -q 'process: live' || {
-  echo "telemetry_smoke: /heapz missing process counters" >&2; exit 1; }
+  | grep -q 'process: rss [0-9]*B, peak rss [0-9]*B' || {
+  echo "telemetry_smoke: /heapz missing process RSS line" >&2; exit 1; }
 
 echo "== /memz =="
 MEMZ="$("$SECVIEW" scrape --port "$PORT" --retries 3 --path /memz)"

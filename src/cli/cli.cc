@@ -204,19 +204,18 @@ and /tracez entries carry a `hot_step` one-liner naming the costliest
 step.
 
 Memory observatory (docs/observability.md): every process exports its
-live-heap counters (live/peak bytes and objects from the allocation
-hooks, RSS from /proc) on /metrics, /statusz, and /memz, which also
+RSS and peak RSS on /metrics, /statusz, and /memz, which also
 renders the subsystem memory ledger — exact per-subsystem byte
 attribution for the loaded document, the rewrite cache, the per-thread
 eval-scratch arenas, and the trace/slow-query rings. `serve
 --heap-sample BYTES` (also on bench-serve) additionally starts the
 sampled allocation-site profiler at one sample per BYTES allocated
 (65536 is a good default), served at /heapz (text; ?k=N bounds the
-table), /heapz?format=json (secview.heap.v1), and
+table), /heapz?format=json (secview.heap.v2), and
 /heapz?format=collapsed (folded stacks for flamegraph.pl/speedscope).
 Sampling refuses to start under sanitizer builds (a skip notice is
 printed; serving continues). `heap-export --in FILE` validates a
-secview.heap.v1 file and re-renders it offline: the top-K text table
+secview.heap.v2 file and re-renders it offline: the top-K text table
 by default (--k, default 20), folded stacks with --collapsed, or
 normalized JSON with --json.
 )";
@@ -664,7 +663,8 @@ Status CmdQuery(const Args& args, std::ostream& out) {
     obs::ScopedSpan span(&trace, "evaluate");
     obs::ScopedTimer timer(&metrics.GetHistogram("phase.evaluate.micros"));
     XPathEvaluator evaluator(doc);
-    evaluator.set_metrics(&metrics);
+    const EvalMetrics eval_metrics = EvalMetrics::Resolve(metrics);
+    evaluator.set_metrics(&eval_metrics);
     std::optional<PlanProfiler> profiler;
     if (want_profile) {
       profiler.emplace();
@@ -1323,7 +1323,7 @@ Status CmdHeapExport(const Args& args, std::ostream& out) {
   SECVIEW_ASSIGN_OR_RETURN(std::string in_path, Required(args, "--in"));
   SECVIEW_ASSIGN_OR_RETURN(std::string text, ReadFile(in_path));
   // Every run validates: parsing rejects anything that is not a
-  // well-formed secview.heap.v1 document.
+  // well-formed secview.heap.v2 document.
   SECVIEW_ASSIGN_OR_RETURN(obs::HeapProfileSnapshot snapshot,
                            obs::ParseHeapProfileJson(text));
   if (args.switches.count("--collapsed") && args.switches.count("--json")) {

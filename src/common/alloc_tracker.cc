@@ -1,21 +1,13 @@
 #include "common/alloc_tracker.h"
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
-
-// Free-side sizing mechanism selection. Header mode (the cmake option
-// SECVIEW_HEAP_HEADER) wins when requested; otherwise size-class mode
-// via malloc_usable_size where <malloc.h> provides it (glibc, musl).
-#if !defined(SECVIEW_HEAP_HEADER) && defined(__has_include)
-#if __has_include(<malloc.h>)
-#include <malloc.h>
-#define SECVIEW_HEAP_USABLE_SIZE 1
-#endif
-#endif
 
 namespace secview {
 namespace {
@@ -24,17 +16,6 @@ namespace {
 // safe from the very first allocation a thread makes (including during
 // static initialization, before main).
 thread_local AllocCounts tls_counts;
-
-// Process-wide live-heap ledger. Constant-initialized atomics so the
-// hooks can charge them before any static constructor runs. All
-// operations are relaxed: the counters are statistics, not
-// synchronization, and a scrape tolerates per-field blur.
-std::atomic<uint64_t> g_live_bytes{0};
-std::atomic<uint64_t> g_live_objects{0};
-std::atomic<uint64_t> g_peak_bytes{0};
-std::atomic<uint64_t> g_total_alloc_bytes{0};
-std::atomic<uint64_t> g_total_allocs{0};
-std::atomic<uint64_t> g_total_frees{0};
 
 // Observer hooks (sampled heap profiler). Two independent atomics —
 // see SetHeapHooks in the header for the swap semantics.
@@ -46,27 +27,6 @@ std::atomic<alloc_internal::FreeHook> g_free_hook{nullptr};
 // happens before anything ever read the RSS.
 std::atomic<uint64_t> g_page_size{0};
 
-inline void NoteLiveAlloc(std::size_t charged) {
-  g_total_alloc_bytes.fetch_add(charged, std::memory_order_relaxed);
-  g_total_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_live_objects.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t live =
-      g_live_bytes.fetch_add(charged, std::memory_order_relaxed) + charged;
-  // Monotone high-water mark; the CAS loop only runs while this thread's
-  // reading is still above the published peak.
-  uint64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
-  while (live > peak &&
-         !g_peak_bytes.compare_exchange_weak(peak, live,
-                                             std::memory_order_relaxed)) {
-  }
-}
-
-inline void NoteLiveFree(std::size_t charged) {
-  g_live_bytes.fetch_sub(charged, std::memory_order_relaxed);
-  g_live_objects.fetch_sub(1, std::memory_order_relaxed);
-  g_total_frees.fetch_add(1, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 namespace alloc_internal {
@@ -74,16 +34,6 @@ namespace alloc_internal {
 void Charge(std::size_t bytes) {
   tls_counts.bytes += bytes;
   ++tls_counts.count;
-}
-
-uint64_t LiveBytesRaw() {
-  return g_live_bytes.load(std::memory_order_relaxed);
-}
-uint64_t LiveObjectsRaw() {
-  return g_live_objects.load(std::memory_order_relaxed);
-}
-uint64_t PeakBytesRaw() {
-  return g_peak_bytes.load(std::memory_order_relaxed);
 }
 
 uint64_t ResidentBytesRaw() {
@@ -105,6 +55,32 @@ uint64_t ResidentBytesRaw() {
   return pages * (page != 0 ? page : 4096);
 }
 
+uint64_t PeakResidentBytesRaw() {
+  int fd = ::open("/proc/self/status", O_RDONLY);
+  if (fd < 0) return 0;
+  char buf[4096];
+  ssize_t n = ::read(fd, buf, sizeof(buf) - 1);
+  ::close(fd);
+  if (n <= 0) return 0;
+  // One "VmHWM:\t    1234 kB" line among the "Key:\tvalue" lines.
+  constexpr char kKey[] = "VmHWM:";
+  constexpr ssize_t kKeyLen = sizeof(kKey) - 1;
+  for (ssize_t i = 0; i + kKeyLen <= n; ++i) {
+    if ((i != 0 && buf[i - 1] != '\n') ||
+        std::memcmp(buf + i, kKey, kKeyLen) != 0) {
+      continue;
+    }
+    i += kKeyLen;
+    while (i < n && (buf[i] == ' ' || buf[i] == '\t')) ++i;
+    uint64_t kb = 0;
+    while (i < n && buf[i] >= '0' && buf[i] <= '9') {
+      kb = kb * 10 + static_cast<uint64_t>(buf[i++] - '0');
+    }
+    return kb * 1024;
+  }
+  return 0;
+}
+
 void SetHeapHooks(AllocHook on_alloc, FreeHook on_free) {
   g_alloc_hook.store(on_alloc, std::memory_order_relaxed);
   g_free_hook.store(on_free, std::memory_order_relaxed);
@@ -113,17 +89,6 @@ void SetHeapHooks(AllocHook on_alloc, FreeHook on_free) {
 }  // namespace alloc_internal
 
 AllocCounts ThreadAllocCounts() { return tls_counts; }
-
-HeapStats ProcessHeapStats() {
-  HeapStats s;
-  s.live_bytes = g_live_bytes.load(std::memory_order_relaxed);
-  s.live_objects = g_live_objects.load(std::memory_order_relaxed);
-  s.peak_bytes = g_peak_bytes.load(std::memory_order_relaxed);
-  s.total_alloc_bytes = g_total_alloc_bytes.load(std::memory_order_relaxed);
-  s.total_allocs = g_total_allocs.load(std::memory_order_relaxed);
-  s.total_frees = g_total_frees.load(std::memory_order_relaxed);
-  return s;
-}
 
 uint64_t ProcessResidentBytes() {
   if (g_page_size.load(std::memory_order_relaxed) == 0) {
@@ -136,17 +101,14 @@ uint64_t ProcessResidentBytes() {
   return alloc_internal::ResidentBytesRaw();
 }
 
-bool AllocTrackingAvailable() {
-#ifdef SECVIEW_ALLOC_TRACKER
-  return true;
-#else
-  return false;
-#endif
+uint64_t ProcessPeakResidentBytes() {
+  struct rusage usage;
+  if (::getrusage(RUSAGE_SELF, &usage) != 0 || usage.ru_maxrss < 0) return 0;
+  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;  // ru_maxrss is kB
 }
 
-bool LiveHeapTrackingAvailable() {
-#if defined(SECVIEW_ALLOC_TRACKER) && \
-    (defined(SECVIEW_HEAP_USABLE_SIZE) || defined(SECVIEW_HEAP_HEADER))
+bool AllocTrackingAvailable() {
+#ifdef SECVIEW_ALLOC_TRACKER
   return true;
 #else
   return false;
@@ -174,23 +136,6 @@ namespace {
 using secview::alloc_internal::AllocHook;
 using secview::alloc_internal::FreeHook;
 
-#if defined(SECVIEW_HEAP_HEADER)
-
-// Per-pointer header mode: every allocation is padded by (at least) one
-// 16-byte header directly before the user pointer, recording the
-// requested size and the distance back to the malloc'd base. Portable
-// to any libc; costs 16 bytes (or the alignment, if larger) per
-// allocation.
-struct HeapHeader {
-  uint64_t size;
-  uint32_t offset;  // user pointer minus malloc'd base
-  uint32_t magic;
-};
-static_assert(sizeof(HeapHeader) == 16, "header must preserve alignment");
-constexpr uint32_t kHeapMagic = 0x53764845;  // "EHvS"
-
-#endif  // SECVIEW_HEAP_HEADER
-
 inline void NotifyAlloc(void* ptr, std::size_t size) {
   if (AllocHook hook = secview::g_alloc_hook.load(std::memory_order_relaxed)) {
     hook(ptr, size);
@@ -199,49 +144,15 @@ inline void NotifyAlloc(void* ptr, std::size_t size) {
 
 void* TrackedAlloc(std::size_t size) {
   secview::alloc_internal::Charge(size);
-#if defined(SECVIEW_HEAP_HEADER)
-  void* base = std::malloc(size + sizeof(HeapHeader));
-  if (base == nullptr) return nullptr;
-  void* user = static_cast<char*>(base) + sizeof(HeapHeader);
-  HeapHeader* header = static_cast<HeapHeader*>(user) - 1;
-  header->size = size;
-  header->offset = sizeof(HeapHeader);
-  header->magic = kHeapMagic;
-  secview::NoteLiveAlloc(size);
-  return user;
-#else
-  void* ptr = std::malloc(size == 0 ? 1 : size);
-#if defined(SECVIEW_HEAP_USABLE_SIZE)
-  if (ptr != nullptr) secview::NoteLiveAlloc(malloc_usable_size(ptr));
-#endif
-  return ptr;
-#endif
+  return std::malloc(size == 0 ? 1 : size);
 }
 
 void* TrackedAllocAligned(std::size_t size, std::size_t align) {
   secview::alloc_internal::Charge(size);
   if (align < alignof(void*)) align = alignof(void*);
-#if defined(SECVIEW_HEAP_HEADER)
-  if (align < sizeof(HeapHeader)) align = sizeof(HeapHeader);
-  // Pad by exactly `align`: base is align-aligned, so base + align stays
-  // align-aligned and leaves >= 16 bytes for the header.
-  void* base = nullptr;
-  if (posix_memalign(&base, align, size + align) != 0) return nullptr;
-  void* user = static_cast<char*>(base) + align;
-  HeapHeader* header = static_cast<HeapHeader*>(user) - 1;
-  header->size = size;
-  header->offset = static_cast<uint32_t>(align);
-  header->magic = kHeapMagic;
-  secview::NoteLiveAlloc(size);
-  return user;
-#else
   void* ptr = nullptr;
   if (posix_memalign(&ptr, align, size == 0 ? 1 : size) != 0) return nullptr;
-#if defined(SECVIEW_HEAP_USABLE_SIZE)
-  secview::NoteLiveAlloc(malloc_usable_size(ptr));
-#endif
   return ptr;
-#endif
 }
 
 void TrackedFree(void* ptr) noexcept {
@@ -252,25 +163,7 @@ void TrackedFree(void* ptr) noexcept {
   if (FreeHook hook = secview::g_free_hook.load(std::memory_order_relaxed)) {
     hook(ptr);
   }
-#if defined(SECVIEW_HEAP_HEADER)
-  HeapHeader* header = static_cast<HeapHeader*>(ptr) - 1;
-  if (header->magic == kHeapMagic) {
-    secview::NoteLiveFree(header->size);
-    const uint32_t offset = header->offset;
-    header->magic = 0;  // catch double frees of the same block
-    std::free(static_cast<char*>(ptr) - offset);
-  } else {
-    // Not one of ours (allocated before the hooks were linked in, or a
-    // foreign malloc freed via delete). Releasing it raw is the only
-    // correct move; the live ledger never charged it.
-    std::free(ptr);
-  }
-#else
-#if defined(SECVIEW_HEAP_USABLE_SIZE)
-  secview::NoteLiveFree(malloc_usable_size(ptr));
-#endif
   std::free(ptr);
-#endif
 }
 
 }  // namespace

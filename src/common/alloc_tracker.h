@@ -6,36 +6,27 @@
 
 namespace secview {
 
-/// Thread-local allocation accounting plus process-wide live-heap
-/// accounting.
+/// Thread-local allocation accounting, plus the process memory readings
+/// (RSS and its peak) that the telemetry surfaces report.
 ///
 /// When the build enables SECVIEW_ALLOC_TRACKER (the cmake option of the
 /// same name, ON by default), alloc_tracker.cc replaces the global
 /// `operator new` / `operator delete` family with thin wrappers that
-/// charge every allocation before forwarding to std::malloc / std::free.
-/// Forwarding to malloc (rather than reimplementing allocation) keeps
-/// the hooks compatible with sanitizer runtimes: ASan/TSan intercept
-/// malloc itself, so redzones, leak checking, and race detection keep
-/// working underneath the hooks.
+/// charge every allocation to the calling thread before forwarding to
+/// std::malloc / std::free. Forwarding to malloc (rather than
+/// reimplementing allocation) keeps the hooks compatible with sanitizer
+/// runtimes: ASan/TSan intercept malloc itself, so redzones, leak
+/// checking, and race detection keep working underneath the hooks.
 ///
-/// Two ledgers move on each hook:
-///
-///  * Thread-local *churn* counters (ThreadAllocCounts): bytes and calls
-///    requested via operator new on this thread since thread start.
-///    Monotone by design — deallocations are not subtracted — because
-///    per-query churn is what the engine's phase breakdown and the
-///    BENCH_alloc.json gate measure.
-///  * Process-wide *live-heap* counters (ProcessHeapStats): bytes and
-///    objects currently allocated, plus the high-water mark. These
-///    require sizing frees, which needs one of two mechanisms, selected
-///    at configure time:
-///      - size-class mode (default where <malloc.h> provides
-///        malloc_usable_size): both sides are charged the allocator's
-///        usable size for the pointer, so alloc and free reconcile
-///        exactly with zero per-allocation space overhead;
-///      - header mode (cmake -DSECVIEW_HEAP_HEADER=ON): a 16-byte
-///        per-pointer header stores the requested size, portable to any
-///        libc at the cost of 16 bytes per allocation.
+/// The charge is one thread-local add (ThreadAllocCounts): bytes and
+/// calls requested via operator new on this thread since thread start.
+/// Monotone by design — deallocations are not subtracted — because
+/// per-query churn is what the engine's phase breakdown and the
+/// BENCH_alloc.json gate measure. No hook writes a shared counter; the
+/// only shared reads are the two relaxed observer-pointer loads that the
+/// sampled heap profiler (obs/heap_profile) installs through
+/// SetHeapHooks. Process-wide memory comes from the kernel instead:
+/// ProcessResidentBytes and ProcessPeakResidentBytes.
 ///
 /// The API below is always available; with the option OFF the counters
 /// simply stay zero and AllocTrackingAvailable() reports false, so
@@ -46,45 +37,23 @@ struct AllocCounts {
   uint64_t count = 0;
 };
 
-/// Process-wide live-heap counters maintained by the hooks. All relaxed
-/// atomics: a snapshot taken while other threads allocate is a blur of
-/// per-field readings, not a consistent cut — fine for telemetry.
-struct HeapStats {
-  /// Bytes currently allocated (charged size: usable size in size-class
-  /// mode, requested size in header mode).
-  uint64_t live_bytes = 0;
-  /// Allocations not yet freed.
-  uint64_t live_objects = 0;
-  /// High-water mark of live_bytes since process start.
-  uint64_t peak_bytes = 0;
-  /// Cumulative charged bytes over all allocations ever made.
-  uint64_t total_alloc_bytes = 0;
-  /// Cumulative operator-new and operator-delete calls.
-  uint64_t total_allocs = 0;
-  uint64_t total_frees = 0;
-};
-
 /// True when the operator new/delete hooks are compiled in (i.e. the
 /// counters actually move). Callers use this to suppress all-zero
 /// readings that would otherwise look like "this query allocated
 /// nothing".
 bool AllocTrackingAvailable();
 
-/// True when frees can be sized, i.e. the live_* fields of HeapStats
-/// actually move (hooks compiled in AND a sizing mechanism available).
-bool LiveHeapTrackingAvailable();
-
 /// This thread's cumulative allocation totals since thread start.
 /// Monotone; all-zero when tracking is compiled out.
 AllocCounts ThreadAllocCounts();
 
-/// Process-wide live-heap snapshot; all-zero fields when the
-/// corresponding mechanism is compiled out.
-HeapStats ProcessHeapStats();
-
 /// Resident set size in bytes from /proc/self/statm; 0 where that file
 /// does not exist (non-Linux) — callers treat 0 as "unavailable".
 uint64_t ProcessResidentBytes();
+
+/// High-water mark of the resident set size in bytes since process
+/// start (getrusage's ru_maxrss); 0 when unavailable.
+uint64_t ProcessPeakResidentBytes();
 
 /// RAII delta counter: records the thread's allocation totals at
 /// construction and on destruction adds the delta to the optional
@@ -123,17 +92,15 @@ namespace alloc_internal {
 /// operator new replacements in alloc_tracker.cc.
 void Charge(std::size_t bytes);
 
-/// Async-signal-safe live-heap readings for the crash reporter: relaxed
-/// atomic loads only, no allocation, no locks.
-uint64_t LiveBytesRaw();
-uint64_t LiveObjectsRaw();
-uint64_t PeakBytesRaw();
-
 /// Async-signal-safe RSS: raw open/read/close of /proc/self/statm with
 /// hand-rolled integer parsing. Uses the page size cached by the last
 /// ProcessResidentBytes() call (callers that need this in a signal
 /// handler warm the cache at install time); 0 when unavailable.
 uint64_t ResidentBytesRaw();
+
+/// Async-signal-safe peak RSS: the VmHWM line of /proc/self/status, read
+/// with raw open/read/close; 0 when unavailable.
+uint64_t PeakResidentBytesRaw();
 
 /// Process-wide allocation observer, consumed by the sampled heap
 /// profiler (obs/heap_profile). `on_alloc` fires after a successful

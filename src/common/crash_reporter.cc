@@ -78,17 +78,13 @@ void CrashHandler(int sig) {
   WriteCString("active queries: ");
   WriteInt(g_active_queries.load(std::memory_order_relaxed));
   WriteCString("\n");
-  // Heap state at crash time, straight off the live-heap atomics (all
-  // relaxed loads) and the cached-page-size /proc read — every piece is
+  // Memory at crash time, read with raw open/read of /proc (the RSS
+  // reader uses the page size cached at install time) — every piece is
   // async-signal-safe. A leak-driven OOM crash names its own cause.
-  WriteCString("heap: live ");
-  WriteInt(static_cast<int64_t>(alloc_internal::LiveBytesRaw()));
-  WriteCString("B in ");
-  WriteInt(static_cast<int64_t>(alloc_internal::LiveObjectsRaw()));
-  WriteCString(" objects, peak ");
-  WriteInt(static_cast<int64_t>(alloc_internal::PeakBytesRaw()));
-  WriteCString("B, rss ");
+  WriteCString("rss ");
   WriteInt(static_cast<int64_t>(alloc_internal::ResidentBytesRaw()));
+  WriteCString("B, peak rss ");
+  WriteInt(static_cast<int64_t>(alloc_internal::PeakResidentBytesRaw()));
   WriteCString("B\n");
   if (g_have_slow.load(std::memory_order_acquire)) {
     WriteCString("last slow query: ");

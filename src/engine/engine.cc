@@ -93,6 +93,23 @@ SecureQueryEngine::SecureQueryEngine(std::unique_ptr<Dtd> dtd,
   hot_.alloc_optimize_count = &metrics_.GetCounter("alloc.optimize.count");
   hot_.alloc_evaluate_bytes = &metrics_.GetCounter("alloc.evaluate.bytes");
   hot_.alloc_evaluate_count = &metrics_.GetCounter("alloc.evaluate.count");
+  hot_.phase_parse = &metrics_.GetHistogram("phase.parse.micros");
+  hot_.phase_unfold = &metrics_.GetHistogram("phase.unfold.micros");
+  hot_.phase_rewrite = &metrics_.GetHistogram("phase.rewrite.micros");
+  hot_.phase_optimize = &metrics_.GetHistogram("phase.optimize.micros");
+  hot_.phase_compile = &metrics_.GetHistogram("phase.compile.micros");
+  hot_.phase_evaluate = &metrics_.GetHistogram("phase.evaluate.micros");
+  hot_.rewrite_unfolds = &metrics_.GetCounter("rewrite.unfolds");
+  hot_.rewrite_queries = &metrics_.GetCounter("rewrite.queries");
+  hot_.rewrite_dp_entries = &metrics_.GetCounter("rewrite.dp_entries");
+  hot_.optimize_queries = &metrics_.GetCounter("optimize.queries");
+  hot_.optimize_dp_entries = &metrics_.GetCounter("optimize.dp_entries");
+  hot_.optimize_nonexistence_prunes =
+      &metrics_.GetCounter("optimize.nonexistence_prunes");
+  hot_.optimize_simulation_tests =
+      &metrics_.GetCounter("optimize.simulation_tests");
+  hot_.optimize_union_prunes = &metrics_.GetCounter("optimize.union_prunes");
+  hot_.eval = EvalMetrics::Resolve(metrics_);
   const size_t shards = std::max<size_t>(1, options_.cache_shards);
   hot_.shard_size.reserve(shards);
   hot_.shard_bytes.reserve(shards);
@@ -229,7 +246,7 @@ std::shared_ptr<const CompiledPlan> SecureQueryEngine::CompileQueryPlan(
     return nullptr;
   }
   obs::ScopedSpan span(trace, "compile");
-  obs::ScopedTimer timer(&metrics_.GetHistogram("phase.compile.micros"));
+  obs::ScopedTimer timer(hot_.phase_compile);
   std::shared_ptr<const CompiledPlan> plan = CompilePlan(query);
   if (plan != nullptr) {
     hot_.plan_compiles->Add();
@@ -262,7 +279,7 @@ Result<std::shared_ptr<const CachedQuery>> SecureQueryEngine::Prepare(
   PathPtr query;
   {
     obs::ScopedSpan span(trace, "parse");
-    obs::ScopedTimer timer(&metrics_.GetHistogram("phase.parse.micros"),
+    obs::ScopedTimer timer(hot_.phase_parse,
                            stats != nullptr ? &stats->parse_micros : nullptr);
     ScopedPhaseAlloc alloc(
         hot_.alloc_parse_bytes, hot_.alloc_parse_count,
@@ -278,11 +295,11 @@ Result<std::shared_ptr<const CachedQuery>> SecureQueryEngine::Prepare(
   std::optional<SecurityView> unfolded;
   if (recursive) {
     obs::ScopedSpan span(trace, "unfold");
-    obs::ScopedTimer timer(&metrics_.GetHistogram("phase.unfold.micros"));
+    obs::ScopedTimer timer(hot_.phase_unfold);
     SECVIEW_ASSIGN_OR_RETURN(SecurityView u, UnfoldView(policy.view, depth));
     unfolded.emplace(std::move(u));
     span.SetAttr("depth", depth);
-    metrics_.GetCounter("rewrite.unfolds").Add();
+    hot_.rewrite_unfolds->Add();
   }
 
   auto value = std::make_shared<CachedQuery>();
@@ -290,7 +307,7 @@ Result<std::shared_ptr<const CachedQuery>> SecureQueryEngine::Prepare(
   {
     obs::ScopedSpan span(trace, "rewrite");
     obs::ScopedTimer timer(
-        &metrics_.GetHistogram("phase.rewrite.micros"),
+        hot_.phase_rewrite,
         stats != nullptr ? &stats->rewrite_micros : nullptr);
     ScopedPhaseAlloc alloc(
         hot_.alloc_rewrite_bytes, hot_.alloc_rewrite_count,
@@ -308,9 +325,8 @@ Result<std::shared_ptr<const CachedQuery>> SecureQueryEngine::Prepare(
     }
     span.SetAttr("dp_entries", static_cast<uint64_t>(rstats.dp_entries));
     span.SetAttr("ast_size", rstats.output_size);
-    metrics_.GetCounter("rewrite.queries").Add();
-    metrics_.GetCounter("rewrite.dp_entries")
-        .Add(static_cast<uint64_t>(rstats.dp_entries));
+    hot_.rewrite_queries->Add();
+    hot_.rewrite_dp_entries->Add(static_cast<uint64_t>(rstats.dp_entries));
     if (stats != nullptr) {
       stats->rewrite_dp_entries += static_cast<uint64_t>(rstats.dp_entries);
     }
@@ -321,7 +337,7 @@ Result<std::shared_ptr<const CachedQuery>> SecureQueryEngine::Prepare(
   if (optimize) {
     obs::ScopedSpan span(trace, "optimize");
     obs::ScopedTimer timer(
-        &metrics_.GetHistogram("phase.optimize.micros"),
+        hot_.phase_optimize,
         stats != nullptr ? &stats->optimize_micros : nullptr);
     ScopedPhaseAlloc alloc(
         hot_.alloc_optimize_bytes, hot_.alloc_optimize_count,
@@ -333,15 +349,14 @@ Result<std::shared_ptr<const CachedQuery>> SecureQueryEngine::Prepare(
                              optimizer_->Optimize(rewritten, &ostats, budget));
     span.SetAttr("ast_after", ostats.output_size);
     span.SetAttr("union_prunes", static_cast<uint64_t>(ostats.union_prunes));
-    metrics_.GetCounter("optimize.queries").Add();
-    metrics_.GetCounter("optimize.dp_entries")
-        .Add(static_cast<uint64_t>(ostats.dp_entries));
-    metrics_.GetCounter("optimize.nonexistence_prunes")
-        .Add(static_cast<uint64_t>(ostats.nonexistence_prunes));
-    metrics_.GetCounter("optimize.simulation_tests")
-        .Add(static_cast<uint64_t>(ostats.simulation_tests));
-    metrics_.GetCounter("optimize.union_prunes")
-        .Add(static_cast<uint64_t>(ostats.union_prunes));
+    hot_.optimize_queries->Add();
+    hot_.optimize_dp_entries->Add(static_cast<uint64_t>(ostats.dp_entries));
+    hot_.optimize_nonexistence_prunes->Add(
+        static_cast<uint64_t>(ostats.nonexistence_prunes));
+    hot_.optimize_simulation_tests->Add(
+        static_cast<uint64_t>(ostats.simulation_tests));
+    hot_.optimize_union_prunes->Add(
+        static_cast<uint64_t>(ostats.union_prunes));
     if (stats != nullptr) {
       stats->optimize_dp_entries += static_cast<uint64_t>(ostats.dp_entries);
       stats->nonexistence_prunes +=
@@ -469,13 +484,12 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
   }
   {
     obs::ScopedSpan span(options.trace, "evaluate");
-    obs::ScopedTimer timer(&metrics_.GetHistogram("phase.evaluate.micros"),
-                           &result.stats.evaluate_micros);
+    obs::ScopedTimer timer(hot_.phase_evaluate, &result.stats.evaluate_micros);
     ScopedPhaseAlloc alloc(hot_.alloc_evaluate_bytes, hot_.alloc_evaluate_count,
                            &result.stats.evaluate_alloc_bytes,
                            &result.stats.evaluate_alloc_count);
     XPathEvaluator evaluator(doc);
-    evaluator.set_metrics(&metrics_);
+    evaluator.set_metrics(&hot_.eval);
     evaluator.set_budget(budget_ptr);
     // EXPLAIN ANALYZE mode: opt-in per execution, or always-on while a
     // cross-query /profilez table is attached.

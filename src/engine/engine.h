@@ -453,6 +453,26 @@ class SecureQueryEngine {
     obs::Counter* alloc_optimize_count = nullptr;
     obs::Counter* alloc_evaluate_bytes = nullptr;
     obs::Counter* alloc_evaluate_count = nullptr;
+    /// phase.<phase>.micros — per-phase wall time, observed alongside
+    /// the trace spans of the same names.
+    obs::Histogram* phase_parse = nullptr;
+    obs::Histogram* phase_unfold = nullptr;
+    obs::Histogram* phase_rewrite = nullptr;
+    obs::Histogram* phase_optimize = nullptr;
+    obs::Histogram* phase_compile = nullptr;
+    obs::Histogram* phase_evaluate = nullptr;
+    /// rewrite.* / optimize.* — per-preparation work of the rewriter and
+    /// the optimizer (RewriteStats / OptimizeStats), charged on misses.
+    obs::Counter* rewrite_unfolds = nullptr;
+    obs::Counter* rewrite_queries = nullptr;
+    obs::Counter* rewrite_dp_entries = nullptr;
+    obs::Counter* optimize_queries = nullptr;
+    obs::Counter* optimize_dp_entries = nullptr;
+    obs::Counter* optimize_nonexistence_prunes = nullptr;
+    obs::Counter* optimize_simulation_tests = nullptr;
+    obs::Counter* optimize_union_prunes = nullptr;
+    /// eval.* — the evaluator's flush targets.
+    EvalMetrics eval;
     /// engine.cache.shard_<i>.size, aggregated across policies.
     std::vector<obs::Gauge*> shard_size;
     /// engine.cache.shard_<i>.bytes, aggregated across policies.

@@ -181,13 +181,13 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
   if (target == "/memz" || target.rfind("/memz?", 0) == 0) {
     const obs::MemLedger& ledger = obs::MemLedger::Instance();
     if (target == "/memz?format=json") {
-      const HeapStats stats = ProcessHeapStats();
       obs::Json process = obs::Json::Object();
-      process.Set("live_bytes", stats.live_bytes);
-      process.Set("live_objects", stats.live_objects);
-      process.Set("peak_bytes", stats.peak_bytes);
       process.Set("resident_bytes", ProcessResidentBytes());
-      process.Set("live_tracking", LiveHeapTrackingAvailable());
+      process.Set("peak_resident_bytes", ProcessPeakResidentBytes());
+      if (obs::HeapProfiler::Instance().running()) {
+        process.Set("sampled_live_bytes",
+                    obs::HeapProfiler::Instance().Snapshot(false).live_bytes);
+      }
       obs::Json accounts = obs::Json::Array();
       for (const obs::MemLedger::Row& row : ledger.Snapshot()) {
         obs::Json entry = obs::Json::Object();
@@ -198,7 +198,7 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
         accounts.Append(std::move(entry));
       }
       obs::Json doc = obs::Json::Object();
-      doc.Set("schema", "secview.mem.v1");
+      doc.Set("schema", "secview.mem.v2");
       doc.Set("process", std::move(process));
       doc.Set("accounts", std::move(accounts));
       doc.Set("ledger_total_bytes", ledger.TotalBytes());
@@ -212,13 +212,13 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
       return HttpResponse::Text(
           400, "unknown /memz parameter (try /memz or /memz?format=json)\n");
     }
-    const HeapStats stats = ProcessHeapStats();
     std::ostringstream out;
-    out << "process: live " << stats.live_bytes << "B in "
-        << stats.live_objects << " objects, peak " << stats.peak_bytes
-        << "B, rss " << ProcessResidentBytes() << "B"
-        << (LiveHeapTrackingAvailable() ? "" : " (live tracking compiled out)")
-        << "\n";
+    out << obs::ProcessMemoryLine();
+    if (obs::HeapProfiler::Instance().running()) {
+      out << ", sampled live ~"
+          << obs::HeapProfiler::Instance().Snapshot(false).live_bytes << "B";
+    }
+    out << "\n";
     out << obs::RenderMemLedgerText(ledger);
     return HttpResponse::Text(200, out.str());
   }
@@ -413,14 +413,8 @@ std::string TelemetryServer::RenderStatusz() const {
   }
 
   out << "\nmemory\n";
-  const HeapStats heap = ProcessHeapStats();
-  if (LiveHeapTrackingAvailable()) {
-    out << "  live: " << heap.live_bytes << "B in " << heap.live_objects
-        << " objects (peak " << heap.peak_bytes << "B)\n";
-  } else {
-    out << "  live-heap tracking compiled out\n";
-  }
-  out << "  rss: " << ProcessResidentBytes() << "B\n";
+  out << "  rss: " << ProcessResidentBytes() << "B (peak "
+      << ProcessPeakResidentBytes() << "B)\n";
   {
     const obs::MemLedger& ledger = obs::MemLedger::Instance();
     out << "  ledger: " << ledger.TotalBytes() << "B across "
@@ -429,6 +423,8 @@ std::string TelemetryServer::RenderStatusz() const {
   if (obs::HeapProfiler::Instance().running()) {
     out << "  heap profiler: sampling 1/"
         << obs::HeapProfiler::Instance().options().sample_interval_bytes
+        << "B, sampled live ~"
+        << obs::HeapProfiler::Instance().Snapshot(false).live_bytes
         << "B (see /heapz)\n";
   } else {
     out << "  heap profiler: off (serve --heap-sample BYTES)\n";

@@ -39,12 +39,12 @@ namespace secview::net {
 ///               "?format=json" returns the table as JSON and "?k=N"
 ///               bounds the text table's row count
 ///   /heapz    - sampled allocation-site heap profile (obs/heap_profile.h)
-///               over the process live-heap counters; "?k=N" bounds the
-///               text table, "?format=json" returns secview.heap.v1
+///               plus the process RSS and peak RSS; "?k=N" bounds the
+///               text table, "?format=json" returns secview.heap.v2
 ///               (heap-export's input), "?format=collapsed" returns
 ///               folded stacks for flamegraph.pl / speedscope
 ///   /memz     - subsystem memory ledger (obs/mem_ledger.h): per-account
-///               attributed bytes plus the process live/peak/RSS line;
+///               attributed bytes plus the process RSS/peak-RSS line;
 ///               "?format=json" for the machine form
 ///
 /// The server only *reads* observability state — a scrape can never

@@ -111,20 +111,16 @@ std::string RenderProcessInfoText(std::string_view ns) {
   out += start_name + " " + std::to_string(ProcessStartUnixSeconds()) + "\n";
   out += "# TYPE " + uptime_name + " gauge\n";
   out += uptime_name + " " + std::to_string(ProcessUptimeMillis()) + "\n";
-  // Live-heap gauges ride on every exposition so dashboards get memory
-  // without a dedicated scrape path; all-zero when the alloc tracker's
-  // free-side sizing is compiled out.
-  const HeapStats heap = ProcessHeapStats();
+  // Memory gauges ride on every exposition so dashboards get memory
+  // without a dedicated scrape path; both read the kernel's accounting.
   const struct {
     const char* name;
     uint64_t value;
-  } heap_gauges[] = {
-      {"heap.live_bytes", heap.live_bytes},
-      {"heap.live_objects", heap.live_objects},
-      {"heap.peak_bytes", heap.peak_bytes},
+  } memory_gauges[] = {
       {"process.resident_memory_bytes", ProcessResidentBytes()},
+      {"process.peak_resident_memory_bytes", ProcessPeakResidentBytes()},
   };
-  for (const auto& gauge : heap_gauges) {
+  for (const auto& gauge : memory_gauges) {
     std::string prom = PrometheusMetricName(gauge.name, ns);
     out += "# TYPE " + prom + " gauge\n";
     out += prom + " " + std::to_string(gauge.value) + "\n";

@@ -12,16 +12,9 @@ namespace secview::obs {
 namespace {
 
 Json ProcessSection() {
-  const HeapStats stats = ProcessHeapStats();
   Json process = Json::Object();
-  process.Set("live_bytes", stats.live_bytes);
-  process.Set("live_objects", stats.live_objects);
-  process.Set("peak_bytes", stats.peak_bytes);
   process.Set("resident_bytes", ProcessResidentBytes());
-  process.Set("total_alloc_bytes", stats.total_alloc_bytes);
-  process.Set("total_allocs", stats.total_allocs);
-  process.Set("total_frees", stats.total_frees);
-  process.Set("live_tracking", LiveHeapTrackingAvailable());
+  process.Set("peak_resident_bytes", ProcessPeakResidentBytes());
   return process;
 }
 
@@ -46,7 +39,7 @@ std::string CollapsedFrameName(const HeapSiteSnapshot& site, size_t i) {
 }
 
 Status HeapError(const std::string& what) {
-  return Status::InvalidArgument("heap.v1: " + what);
+  return Status::InvalidArgument("heap.v2: " + what);
 }
 
 Status RequireNumbers(const Json& object, std::initializer_list<const char*>
@@ -65,7 +58,7 @@ Status ValidateHeapObject(const Json& doc) {
   if (!doc.is_object()) return HeapError("document is not a JSON object");
   const Json* schema = doc.Find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      schema->AsString() != "secview.heap.v1") {
+      schema->AsString() != "secview.heap.v2") {
     return HeapError("missing or wrong schema tag");
   }
   const Json* running = doc.Find("running");
@@ -79,14 +72,7 @@ Status ValidateHeapObject(const Json& doc) {
     return HeapError("missing 'process' object");
   }
   SECVIEW_RETURN_IF_ERROR(RequireNumbers(
-      *process,
-      {"live_bytes", "live_objects", "peak_bytes", "resident_bytes",
-       "total_alloc_bytes", "total_allocs", "total_frees"},
-      "process"));
-  const Json* tracking = process->Find("live_tracking");
-  if (tracking == nullptr || !tracking->is_bool()) {
-    return HeapError("process: missing bool 'live_tracking'");
-  }
+      *process, {"resident_bytes", "peak_resident_bytes"}, "process"));
   const Json* sampled = doc.Find("sampled");
   if (sampled == nullptr || !sampled->is_object()) {
     return HeapError("missing 'sampled' object");
@@ -139,7 +125,7 @@ Status ValidateHeapObject(const Json& doc) {
 
 Json HeapProfileJson(const HeapProfileSnapshot& snapshot, size_t top_k) {
   Json doc = Json::Object();
-  doc.Set("schema", "secview.heap.v1");
+  doc.Set("schema", "secview.heap.v2");
   doc.Set("running", snapshot.running);
   doc.Set("sample_interval_bytes", snapshot.sample_interval_bytes);
   doc.Set("process", ProcessSection());
@@ -180,11 +166,18 @@ Json HeapProfileJson(const HeapProfileSnapshot& snapshot, size_t top_k) {
   return doc;
 }
 
+std::string ProcessMemoryLine() {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "process: rss %" PRIu64 "B, peak rss %" PRIu64 "B",
+                ProcessResidentBytes(), ProcessPeakResidentBytes());
+  return buf;
+}
+
 std::string RenderHeapProfileText(const HeapProfileSnapshot& snapshot,
                                   size_t top_k) {
   std::string out;
   char buf[256];
-  const HeapStats stats = ProcessHeapStats();
   std::snprintf(buf, sizeof(buf),
                 "heap profile: %zu sites, %" PRIu64
                 " samples (interval %" PRIu64 "B, %s)\n",
@@ -192,12 +185,8 @@ std::string RenderHeapProfileText(const HeapProfileSnapshot& snapshot,
                 snapshot.sample_interval_bytes,
                 snapshot.running ? "running" : "stopped");
   out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "process: live %" PRIu64 "B in %" PRIu64
-                " objects, peak %" PRIu64 "B, rss %" PRIu64 "B\n",
-                stats.live_bytes, stats.live_objects, stats.peak_bytes,
-                ProcessResidentBytes());
-  out += buf;
+  out += ProcessMemoryLine();
+  out += '\n';
   std::snprintf(buf, sizeof(buf),
                 "sampled: live ~%" PRIu64 "B in ~%" PRIu64
                 " objects, cumulative ~%" PRIu64 "B in ~%" PRIu64

@@ -12,8 +12,8 @@
 namespace secview::obs {
 
 /// Process-wide registry of named per-subsystem memory accounts — the
-/// "whose bytes are these" companion to the global live-heap counters
-/// in common/alloc_tracker. Two kinds of entries:
+/// "whose bytes are these" companion to the process RSS that
+/// common/alloc_tracker reads. Two kinds of entries:
 ///
 ///  * charged accounts: subsystems Add()/Set() exact byte deltas on an
 ///    Account (lock-free atomics), typically through ScopedLedgerCharge

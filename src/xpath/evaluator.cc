@@ -62,22 +62,33 @@ Status XPathEvaluator::FinishBudget() {
   return budget_status_;
 }
 
+EvalMetrics EvalMetrics::Resolve(obs::MetricsRegistry& registry) {
+  EvalMetrics m;
+  m.nodes_touched = &registry.GetCounter("eval.nodes_touched");
+  m.predicate_evals = &registry.GetCounter("eval.predicate_evals");
+  m.index_scans = &registry.GetCounter("eval.index_scans");
+  m.sort_skips = &registry.GetCounter("eval.sort_skips");
+  m.budget_checks = &registry.GetCounter("xpath.budget_checks");
+  m.compiled_queries = &registry.GetCounter("eval.compiled_queries");
+  return m;
+}
+
 void XPathEvaluator::FlushDelta(const EvalCounters& before) {
   if (metrics_ == nullptr) return;
   if (uint64_t d = counters_.nodes_touched - before.nodes_touched; d > 0) {
-    metrics_->GetCounter("eval.nodes_touched").Add(d);
+    metrics_->nodes_touched->Add(d);
   }
   if (uint64_t d = counters_.predicate_evals - before.predicate_evals; d > 0) {
-    metrics_->GetCounter("eval.predicate_evals").Add(d);
+    metrics_->predicate_evals->Add(d);
   }
   if (uint64_t d = counters_.index_scans - before.index_scans; d > 0) {
-    metrics_->GetCounter("eval.index_scans").Add(d);
+    metrics_->index_scans->Add(d);
   }
   if (uint64_t d = counters_.sort_skips - before.sort_skips; d > 0) {
-    metrics_->GetCounter("eval.sort_skips").Add(d);
+    metrics_->sort_skips->Add(d);
   }
   if (uint64_t d = counters_.budget_checks - before.budget_checks; d > 0) {
-    metrics_->GetCounter("xpath.budget_checks").Add(d);
+    metrics_->budget_checks->Add(d);
   }
 }
 

@@ -43,6 +43,20 @@ struct EvalCounters {
   uint64_t budget_checks = 0;    ///< strided QueryBudget charge points
 };
 
+/// The registry counters an evaluator flushes its EvalCounters into,
+/// resolved once per registry (Resolve takes the registry's lock and
+/// string lookups; the evaluator's flush then only does atomic adds).
+struct EvalMetrics {
+  obs::Counter* nodes_touched = nullptr;     ///< eval.nodes_touched
+  obs::Counter* predicate_evals = nullptr;   ///< eval.predicate_evals
+  obs::Counter* index_scans = nullptr;       ///< eval.index_scans
+  obs::Counter* sort_skips = nullptr;        ///< eval.sort_skips
+  obs::Counter* budget_checks = nullptr;     ///< xpath.budget_checks
+  obs::Counter* compiled_queries = nullptr;  ///< eval.compiled_queries
+
+  static EvalMetrics Resolve(obs::MetricsRegistry& registry);
+};
+
 class XPathEvaluator {
  public:
   explicit XPathEvaluator(const XmlTree& tree) : tree_(&tree) {}
@@ -84,12 +98,13 @@ class XPathEvaluator {
       const std::vector<std::pair<std::string, std::string>>& bindings = {},
       EvalScratch* scratch = nullptr);
 
-  /// Attaches a metrics registry: every public Evaluate/EvaluateQualifier
-  /// call flushes the counters it accumulated into `eval.nodes_touched`,
-  /// `eval.predicate_evals`, `eval.index_scans`, and `eval.sort_skips`.
-  /// The hot loops only bump plain fields; the atomic adds happen once
-  /// per call.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// Attaches pre-resolved registry counters: every public
+  /// Evaluate/EvaluateQualifier/EvaluateCompiled call flushes the
+  /// counters it accumulated into them (EvalMetrics names each one), and
+  /// EvaluateCompiled also bumps `eval.compiled_queries`. The hot loops
+  /// only bump plain fields; the atomic adds happen once per call. The
+  /// struct must outlive the evaluator's use of it; nullptr detaches.
+  void set_metrics(const EvalMetrics* metrics) { metrics_ = metrics; }
 
   /// Attaches a cooperative budget: evaluation charges node visits to it
   /// every QueryBudget::kNodeStride touches and unwinds with the budget's
@@ -147,7 +162,7 @@ class XPathEvaluator {
 
   static void SortUnique(NodeSet& set);
 
-  /// Adds the counter deltas since `before` to the attached registry.
+  /// Adds the counter deltas since `before` to the attached counters.
   void FlushDelta(const EvalCounters& before);
 
   /// Charges uncharged node visits to the budget once kNodeStride have
@@ -170,7 +185,7 @@ class XPathEvaluator {
   const XmlTree* tree_;
   const LabelIndex* index_ = nullptr;
   EvalCounters counters_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  const EvalMetrics* metrics_ = nullptr;
   PlanProfiler* profiler_ = nullptr;
   QueryBudget* budget_ = nullptr;
   uint64_t budget_charged_ = 0;

@@ -124,9 +124,7 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
   plan_consts_ = nullptr;
 
   FlushDelta(before);
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("eval.compiled_queries").Add();
-  }
+  if (metrics_ != nullptr) metrics_->compiled_queries->Add();
   if (budget_ != nullptr) {
     SECVIEW_RETURN_IF_ERROR(FinishBudget());
   }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <atomic>
 #include <csignal>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -109,81 +111,126 @@ TEST(AllocTrackerTest, ThreadCountsMonotonic) {
 /// suite is checking.
 void EscapePointer(void* p) { asm volatile("" : : "g"(p) : "memory"); }
 
-TEST(AllocTrackerTest, LiveHeapBalancesAcrossTheFullDeleteFamily) {
-  if (!LiveHeapTrackingAvailable()) GTEST_SKIP() << "no free-side sizing";
-  const HeapStats before = ProcessHeapStats();
+/// Counting observers for SetHeapHooks. Thread-local, so allocations
+/// other threads make while the hooks are attached do not land here; the
+/// hooks must not allocate themselves.
+constexpr int kMaxSeen = 16;
+thread_local void* tls_allocs_seen[kMaxSeen];
+thread_local void* tls_frees_seen[kMaxSeen];
+thread_local int tls_alloc_hits = 0;
+thread_local int tls_free_hits = 0;
 
-  // Every operator-delete overload the standard names: scalar, array,
-  // sized (the compiler emits it for delete of a complete type),
-  // nothrow, over-aligned, and sized + over-aligned. Each pair must
-  // charge and refund the exact same number of bytes.
-  int* scalar = new int(1);
-  EscapePointer(scalar);
-  delete scalar;  // sized delete
-  char* arr = new char[333];
-  EscapePointer(arr);
-  delete[] arr;  // sized array delete
-  int* soft = new (std::nothrow) int(2);
-  ASSERT_NE(soft, nullptr);
-  EscapePointer(soft);
-  delete soft;
+void CountAlloc(void* ptr, std::size_t) {
+  if (tls_alloc_hits < kMaxSeen) tls_allocs_seen[tls_alloc_hits] = ptr;
+  ++tls_alloc_hits;
+}
+
+void CountFree(void* ptr) {
+  if (tls_free_hits < kMaxSeen) tls_frees_seen[tls_free_hits] = ptr;
+  ++tls_free_hits;
+}
+
+TEST(AllocTrackerTest, FullDeleteFamilyReachesBothHooks) {
+  if (!AllocTrackingAvailable()) GTEST_SKIP() << "tracker compiled out";
   struct alignas(128) Wide {
     char pad[256];
   };
+  void* expected[6];
+  tls_alloc_hits = 0;
+  tls_free_hits = 0;
+  const AllocCounts before = ThreadAllocCounts();
+  alloc_internal::SetHeapHooks(&CountAlloc, &CountFree);
+
+  // Every operator-new/delete pairing the standard names: scalar, array,
+  // sized (the compiler emits it for delete of a complete type),
+  // nothrow, over-aligned, and sized + over-aligned. Each pair must
+  // reach the alloc hook and the free hook with the same pointer.
+  int* scalar = new int(1);
+  EscapePointer(scalar);
+  expected[0] = scalar;
+  delete scalar;  // sized delete
+  char* arr = new char[333];
+  EscapePointer(arr);
+  expected[1] = arr;
+  delete[] arr;
+  int* soft = new (std::nothrow) int(2);
+  EscapePointer(soft);
+  expected[2] = soft;
+  delete soft;
   Wide* wide = new Wide();  // aligned new
   EscapePointer(wide);
-  delete wide;              // sized aligned delete
+  expected[3] = wide;
+  delete wide;  // sized aligned delete
   Wide* wides = new Wide[3];
   EscapePointer(wides);
+  expected[4] = wides;
   delete[] wides;
   auto* soft_wide = new (std::nothrow) Wide();
-  ASSERT_NE(soft_wide, nullptr);
   EscapePointer(soft_wide);
+  expected[5] = soft_wide;
   delete soft_wide;
 
-  const HeapStats after = ProcessHeapStats();
-  EXPECT_EQ(after.live_bytes, before.live_bytes);
-  EXPECT_EQ(after.live_objects, before.live_objects);
-  EXPECT_GE(after.total_allocs, before.total_allocs + 6);
-  EXPECT_GE(after.total_frees, before.total_frees + 6);
-}
-
-TEST(AllocTrackerTest, LiveHeapSeesRequestedBytesOrMore) {
-  if (!LiveHeapTrackingAvailable()) GTEST_SKIP() << "no free-side sizing";
-  const HeapStats before = ProcessHeapStats();
-  char* block = new char[1 << 20];
-  volatile char sink = block[0];
-  (void)sink;
-  const HeapStats during = ProcessHeapStats();
-  // Size-class mode charges malloc_usable_size: at least the request,
-  // and never wildly more for a megabyte block.
-  EXPECT_GE(during.live_bytes, before.live_bytes + (1u << 20));
-  EXPECT_LE(during.live_bytes, before.live_bytes + (1u << 20) + 65536);
-  EXPECT_EQ(during.live_objects, before.live_objects + 1);
-  EXPECT_GE(during.peak_bytes, during.live_bytes);
-  delete[] block;
-  const HeapStats after = ProcessHeapStats();
-  EXPECT_EQ(after.live_bytes, before.live_bytes);
-  EXPECT_GE(after.peak_bytes, before.live_bytes + (1u << 20))
-      << "peak is a monotone high-water mark";
-}
-
-TEST(AllocTrackerTest, CrossThreadFreeBalancesTheLedger) {
-  if (!LiveHeapTrackingAvailable()) GTEST_SKIP() << "no free-side sizing";
-  const HeapStats before = ProcessHeapStats();
-  {
-    // Allocate here, free on another thread: the live ledger is
-    // process-wide so the refund lands no matter which thread frees.
-    std::vector<char*> blocks;
-    for (int i = 0; i < 32; ++i) blocks.push_back(new char[4096]);
-    std::thread reaper([&blocks] {
-      for (char* b : blocks) delete[] b;
-    });
-    reaper.join();
+  alloc_internal::SetHeapHooks(nullptr, nullptr);
+  const AllocCounts after = ThreadAllocCounts();
+  EXPECT_EQ(after.count, before.count + 6);
+  ASSERT_EQ(tls_alloc_hits, 6);
+  ASSERT_EQ(tls_free_hits, 6);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_NE(expected[i], nullptr) << "pair " << i;
+    EXPECT_EQ(tls_allocs_seen[i], expected[i]) << "pair " << i;
+    EXPECT_EQ(tls_frees_seen[i], expected[i]) << "pair " << i;
   }
-  const HeapStats after = ProcessHeapStats();
-  EXPECT_EQ(after.live_bytes, before.live_bytes);
-  EXPECT_EQ(after.live_objects, before.live_objects);
+}
+
+TEST(AllocTrackerTest, ResidentAndPeakResidentAreOrdered) {
+#if defined(__linux__)
+  // The kernel's RSS counters are batched per CPU and the high-water
+  // mark is only refreshed at some unmaps, so a peak read just after an
+  // RSS read may trail it slightly (seen under ASan, whose allocator
+  // returns pages in the background); 1 MB covers that.
+  constexpr uint64_t kSlack = 1u << 20;
+  const uint64_t rss = ProcessResidentBytes();
+  const uint64_t peak = ProcessPeakResidentBytes();
+  EXPECT_GT(rss, 0u);
+  EXPECT_GT(peak, 0u);
+  EXPECT_GE(peak + kSlack, rss)
+      << "peak is a high-water mark of the resident set";
+  // The crash reporter's raw readers see the same quantities.
+  const uint64_t raw_rss = alloc_internal::ResidentBytesRaw();
+  const uint64_t raw_peak = alloc_internal::PeakResidentBytesRaw();
+  EXPECT_GT(raw_rss, 0u);
+  EXPECT_GE(raw_peak + kSlack, raw_rss);
+#else
+  (void)ProcessPeakResidentBytes();  // portable fallback: 0 is acceptable
+#endif
+}
+
+TEST(AllocTrackerTest, TouchedBlockRaisesPeakResident) {
+#if defined(__linux__)
+  const uint64_t rss_before = ProcessResidentBytes();
+  const uint64_t peak_before = ProcessPeakResidentBytes();
+  // 8 MB of fresh pages, plus whatever an earlier test left between the
+  // high-water mark and today's RSS, so touching them must lift the
+  // peak. mmap (not malloc) guarantees none of the pages is resident yet.
+  const size_t block =
+      (8u << 20) + (peak_before > rss_before ? peak_before - rss_before : 0);
+  void* mem = ::mmap(nullptr, block, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  std::memset(mem, 1, block);
+  EscapePointer(mem);
+  const uint64_t peak_during = ProcessPeakResidentBytes();
+  const uint64_t raw_peak_during = alloc_internal::PeakResidentBytesRaw();
+  ::munmap(mem, block);
+  // The kernel's RSS counters are batched per CPU; 1 MB covers that.
+  EXPECT_GE(peak_during + (1u << 20), rss_before + block);
+  EXPECT_GT(peak_during, peak_before);
+  EXPECT_GE(raw_peak_during + (1u << 20), rss_before + block);
+  EXPECT_GE(ProcessPeakResidentBytes(), peak_during)
+      << "peak is monotone after the block is unmapped";
+#else
+  GTEST_SKIP() << "RSS readings need /proc";
+#endif
 }
 
 TEST(AllocTrackerTest, ResidentBytesReadsProcStatm) {
@@ -501,7 +548,7 @@ TEST(CrashReporterDeathTest, SegfaultReportPrintsBannerAndCounts) {
         CrashReporterSetLastSlowQuery(slow, sizeof(slow) - 1);
         raise(SIGSEGV);
       },
-      "secview crash reporter");
+      "secview crash reporter.*rss [0-9]+B, peak rss [0-9]+B");
 }
 
 }  // namespace

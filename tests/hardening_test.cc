@@ -296,7 +296,8 @@ TEST_F(EvaluatorBudgetTest, BudgetChecksFlushIntoMetrics) {
   limits.max_nodes = 10'000;
   QueryBudget budget(limits);
   XPathEvaluator evaluator(*doc_);
-  evaluator.set_metrics(&metrics);
+  const EvalMetrics eval_metrics = EvalMetrics::Resolve(metrics);
+  evaluator.set_metrics(&eval_metrics);
   evaluator.set_budget(&budget);
   (void)evaluator.Evaluate(*query_, doc_->root());
   EXPECT_GT(metrics.GetCounter("xpath.budget_checks").value(), 0u);

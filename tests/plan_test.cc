@@ -388,7 +388,8 @@ TEST(EvalScratchTest, CompiledQueriesCounterIsCharged) {
   ASSERT_NE(plan, nullptr);
   obs::MetricsRegistry metrics;
   XPathEvaluator evaluator(doc);
-  evaluator.set_metrics(&metrics);
+  const EvalMetrics eval_metrics = EvalMetrics::Resolve(metrics);
+  evaluator.set_metrics(&eval_metrics);
   ASSERT_TRUE(evaluator.EvaluateCompiled(*plan, doc.root()).ok());
   ASSERT_TRUE(evaluator.EvaluateCompiled(*plan, doc.root()).ok());
   EXPECT_EQ(metrics.GetCounter("eval.compiled_queries").value(), 2u);

@@ -551,7 +551,7 @@ TEST_F(TelemetryServerTest, HeapzRendersTextJsonAndCollapsed) {
   net::HttpResponse text = server_->Handle(Get("/heapz"));
   ASSERT_EQ(text.status, 200);
   EXPECT_NE(text.body.find("heap profile:"), std::string::npos) << text.body;
-  EXPECT_NE(text.body.find("process: live"), std::string::npos) << text.body;
+  EXPECT_NE(text.body.find("process: rss"), std::string::npos) << text.body;
 
   net::HttpResponse json = server_->Handle(Get("/heapz?format=json"));
   ASSERT_EQ(json.status, 200);
@@ -573,7 +573,7 @@ TEST_F(TelemetryServerTest, MemzReportsLedgerAndProcessCounters) {
 
   net::HttpResponse text = server_->Handle(Get("/memz"));
   ASSERT_EQ(text.status, 200);
-  EXPECT_NE(text.body.find("process: live"), std::string::npos) << text.body;
+  EXPECT_NE(text.body.find("process: rss"), std::string::npos) << text.body;
   EXPECT_NE(text.body.find("test.memz: 12345 B"), std::string::npos)
       << text.body;
 
@@ -583,8 +583,10 @@ TEST_F(TelemetryServerTest, MemzReportsLedgerAndProcessCounters) {
   auto parsed = obs::Json::Parse(json.body);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ASSERT_NE(parsed->Find("schema"), nullptr);
-  EXPECT_EQ(parsed->Find("schema")->AsString(), "secview.mem.v1");
+  EXPECT_EQ(parsed->Find("schema")->AsString(), "secview.mem.v2");
   ASSERT_NE(parsed->Find("process"), nullptr);
+  EXPECT_NE(parsed->Find("process")->Find("resident_bytes"), nullptr);
+  EXPECT_NE(parsed->Find("process")->Find("peak_resident_bytes"), nullptr);
   ASSERT_NE(parsed->Find("accounts"), nullptr);
   bool found = false;
   for (const obs::Json& account : parsed->Find("accounts")->items()) {
@@ -620,10 +622,8 @@ TEST_F(TelemetryServerTest, MetricsRouteIncludesMemorySeries) {
             std::string::npos);
   EXPECT_NE(response.body.find("secview_mem_ledger_total_bytes"),
             std::string::npos);
-  if (LiveHeapTrackingAvailable()) {
-    EXPECT_NE(response.body.find("secview_heap_live_bytes"),
-              std::string::npos);
-  }
+  EXPECT_NE(response.body.find("secview_process_peak_resident_memory_bytes"),
+            std::string::npos);
 }
 
 TEST_F(TelemetryServerTest, EndToEndScrapeWhileServing) {
@@ -671,8 +671,8 @@ TEST_F(TelemetryServerTest, EndToEndScrapeWhileServing) {
           !obs::Json::Parse(profilez->body).ok()) {
         bad_scrapes.fetch_add(1);
       }
-      // /heapz and /memz race the workers' allocation churn (live-heap
-      // atomics, eval-scratch publications); the documents must always
+      // /heapz and /memz race the workers' allocation churn (ledger
+      // charges, eval-scratch publications); the documents must always
       // validate whole.
       auto heapz =
           net::HttpGet("127.0.0.1", server_->port(), "/heapz?format=json");
@@ -693,7 +693,11 @@ TEST_F(TelemetryServerTest, EndToEndScrapeWhileServing) {
   options.bindings = {{"wardNo", "3"}};
   std::vector<std::string> queries = {"//patient//bill", "//patient/name",
                                       "//bill", "//regular/medication"};
-  for (int round = 0; round < 5; ++round) {
+  // Serve at least five rounds, and on until the scraper's first /metrics
+  // scrape has returned: five rounds can finish before the scraper thread
+  // is first scheduled, which would leave nothing scraped while serving.
+  for (int round = 0;
+       round < 5 || good_scrapes.load() + bad_scrapes.load() == 0; ++round) {
     for (const auto& result : pool.ExecuteBatch("nurse", *doc_, queries,
                                                 options)) {
       ASSERT_TRUE(result.ok()) << result.status();
