@@ -18,11 +18,6 @@
 namespace secview {
 namespace {
 
-/// Benchmarks execute compiled plans (xpath/plan.h) by default, the
-/// same path the engine serves; pass --no-compiled for the AST-walk
-/// A/B.
-bool g_use_compiled = true;
-
 const XmlTree& AdexDoc(size_t bytes) {
   static auto* cache = new std::map<size_t, XmlTree*>();
   auto it = cache->find(bytes);
@@ -38,14 +33,12 @@ const XmlTree& AdexDoc(size_t bytes) {
 void RunQuery(benchmark::State& state, const char* text) {
   const XmlTree& doc = AdexDoc(static_cast<size_t>(state.range(0)));
   PathPtr q = ParseXPath(text).value();
-  std::shared_ptr<const CompiledPlan> plan =
-      g_use_compiled ? CompilePlan(q) : nullptr;
+  // Compiled once, outside the timed loop, as the engine's cache does.
+  std::shared_ptr<const CompiledPlan> plan = CompilePlan(q);
   uint64_t work = 0;
   for (auto _ : state) {
     XPathEvaluator evaluator(doc);
-    auto result = plan != nullptr
-                      ? evaluator.EvaluateCompiled(*plan, doc.root())
-                      : evaluator.Evaluate(q, doc.root());
+    auto result = evaluator.EvaluateCompiled(*plan, doc.root());
     if (!result.ok()) state.SkipWithError("evaluation failed");
     benchmark::DoNotOptimize(result);
     work = evaluator.work();
@@ -96,18 +89,12 @@ int EmitEvalMetrics(const std::string& path) {
   for (const char* text : queries) {
     auto q = ParseXPath(text);
     if (!q.ok()) return 1;
-    std::shared_ptr<const CompiledPlan> plan =
-        g_use_compiled ? CompilePlan(*q) : nullptr;
     XPathEvaluator evaluator(doc);
     evaluator.set_metrics(&eval_metrics);
     PlanProfiler profiler;
     evaluator.set_profiler(&profiler);
     obs::ScopedTimer timer(&registry.GetHistogram("phase.evaluate.micros"));
-    if (plan != nullptr) {
-      if (!evaluator.EvaluateCompiled(*plan, doc.root()).ok()) return 1;
-    } else {
-      if (!evaluator.Evaluate(*q, doc.root()).ok()) return 1;
-    }
+    if (!evaluator.Evaluate(*q, doc.root()).ok()) return 1;
     FlushStepProfileMetrics(profiler.root(), registry);
   }
   return benchutil::EmitMetricsJson(path, "bench_xpath_eval", registry);
@@ -119,17 +106,6 @@ int EmitEvalMetrics(const std::string& path) {
 int main(int argc, char** argv) {
   std::string metrics_path =
       secview::benchutil::ExtractMetricsJsonFlag(&argc, argv);
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::string_view(argv[i]) == "--no-compiled") {
-        secview::g_use_compiled = false;
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
-  }
   benchmark::Initialize(&argc, &argv[0]);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

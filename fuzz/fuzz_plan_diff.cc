@@ -13,13 +13,15 @@
 #include "xpath/plan.h"
 
 /// Differential fuzzer for the compiled-plan VM (xpath/vm.cc): every
-/// query the parser accepts is lowered with CompilePlan and executed
-/// through both the AST-walking evaluator and the bytecode interpreter
-/// over a fixed hospital document — plain, with a label index, and
-/// under a node budget small enough to trip mid-query. Any divergence
-/// in status code, status message, result NodeSet, or EvalCounters
-/// traps. The deterministic companion is tests/plan_test.cc; the seed
-/// corpus is shared with fuzz_xpath (tests/corpus/xpath/).
+/// query the parser accepts is lowered with CompilePlan and executed on
+/// the VM over a fixed hospital document — plain, with a label index,
+/// and under a node budget small enough to trip mid-query — and
+/// compared with the reference walk (EvaluateAtRoot), which shares no
+/// code with the VM. Any difference in status code or result NodeSet
+/// traps; the budgeted run may instead refuse the query with
+/// ResourceExhausted, but never return a partial set. The deterministic
+/// companion is tests/plan_test.cc; the seed corpus is shared with
+/// fuzz_xpath (tests/corpus/xpath/).
 
 namespace {
 
@@ -51,10 +53,9 @@ constexpr char kDoc[] = R"(
   </hospital>
 )";
 
-struct Run {
+struct Answer {
   secview::Status status = secview::Status::OK();
   secview::NodeSet nodes;
-  secview::EvalCounters counters;
 };
 
 const std::vector<std::pair<std::string, std::string>>& Bindings() {
@@ -64,52 +65,33 @@ const std::vector<std::pair<std::string, std::string>>& Bindings() {
   return *bindings;
 }
 
-Run RunAst(const secview::XmlTree& doc, const secview::LabelIndex* index,
-           const secview::PathPtr& p, const secview::BudgetLimits& limits) {
-  secview::XPathEvaluator evaluator = index != nullptr
-                                          ? secview::XPathEvaluator(doc, index)
-                                          : secview::XPathEvaluator(doc);
-  secview::QueryBudget budget(limits, secview::CancelToken());
-  if (budget.active()) evaluator.set_budget(&budget);
+Answer RunReference(const secview::XmlTree& doc, const secview::PathPtr& p) {
   auto result =
-      evaluator.Evaluate(secview::BindParams(p, Bindings()), doc.root());
-  Run run;
-  run.status = result.status();
-  if (result.ok()) run.nodes = std::move(result).value();
-  run.counters = evaluator.counters();
-  return run;
+      secview::EvaluateAtRoot(doc, secview::BindParams(p, Bindings()));
+  Answer answer;
+  answer.status = result.status();
+  if (result.ok()) answer.nodes = std::move(result).value();
+  return answer;
 }
 
-Run RunCompiled(const secview::XmlTree& doc, const secview::LabelIndex* index,
-                const secview::CompiledPlan& plan,
-                const secview::BudgetLimits& limits) {
+Answer RunVm(const secview::XmlTree& doc, const secview::LabelIndex* index,
+             const secview::CompiledPlan& plan,
+             const secview::BudgetLimits& limits) {
   secview::XPathEvaluator evaluator = index != nullptr
                                           ? secview::XPathEvaluator(doc, index)
                                           : secview::XPathEvaluator(doc);
   secview::QueryBudget budget(limits, secview::CancelToken());
   if (budget.active()) evaluator.set_budget(&budget);
   auto result = evaluator.EvaluateCompiled(plan, doc.root(), Bindings());
-  Run run;
-  run.status = result.status();
-  if (result.ok()) run.nodes = std::move(result).value();
-  run.counters = evaluator.counters();
-  return run;
+  Answer answer;
+  answer.status = result.status();
+  if (result.ok()) answer.nodes = std::move(result).value();
+  return answer;
 }
 
-void CheckSame(const Run& ast, const Run& compiled) {
-  if (ast.status.code() != compiled.status.code()) __builtin_trap();
-  if (ast.status.message() != compiled.status.message()) __builtin_trap();
-  if (ast.nodes != compiled.nodes) __builtin_trap();
-  if (ast.counters.nodes_touched != compiled.counters.nodes_touched)
-    __builtin_trap();
-  if (ast.counters.predicate_evals != compiled.counters.predicate_evals)
-    __builtin_trap();
-  if (ast.counters.index_scans != compiled.counters.index_scans)
-    __builtin_trap();
-  if (ast.counters.sort_skips != compiled.counters.sort_skips)
-    __builtin_trap();
-  if (ast.counters.budget_checks != compiled.counters.budget_checks)
-    __builtin_trap();
+void CheckSame(const Answer& reference, const Answer& vm) {
+  if (reference.status.code() != vm.status.code()) __builtin_trap();
+  if (reference.nodes != vm.nodes) __builtin_trap();
 }
 
 }  // namespace
@@ -137,17 +119,21 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   auto indexed_plan = secview::CompilePlan(p, indexed_options);
   if (indexed_plan == nullptr) __builtin_trap();
 
+  const Answer reference = RunReference(*doc, p);
   secview::BudgetLimits unlimited;
-  CheckSame(RunAst(*doc, nullptr, p, unlimited),
-            RunCompiled(*doc, nullptr, *plan, unlimited));
-  CheckSame(RunAst(*doc, index, p, unlimited),
-            RunCompiled(*doc, index, *indexed_plan, unlimited));
+  CheckSame(reference, RunVm(*doc, nullptr, *plan, unlimited));
+  // The reference has no index: the indexed plan must match it too.
+  CheckSame(reference, RunVm(*doc, index, *indexed_plan, unlimited));
 
   // A budget small enough that hostile closures trip mid-evaluation:
-  // both paths must stop at the same strided checkpoint.
+  // the VM refuses the whole query or returns exactly the reference.
   secview::BudgetLimits tight;
   tight.max_nodes = 64;
-  CheckSame(RunAst(*doc, nullptr, p, tight),
-            RunCompiled(*doc, nullptr, *plan, tight));
+  const Answer budgeted = RunVm(*doc, nullptr, *plan, tight);
+  if (budgeted.status.code() == secview::StatusCode::kResourceExhausted) {
+    if (!budgeted.nodes.empty()) __builtin_trap();
+  } else {
+    CheckSame(reference, budgeted);
+  }
   return 0;
 }

@@ -72,10 +72,11 @@ echo "== alloc tracker under ASan =="
 "$BUILD_DIR"/tests/common_test --gtest_filter='AllocTracker*'
 
 # The compiled-plan differential harness (tests/plan_test.cc) is part
-# of ctest above; rerun it alone under ASan so a VM/AST divergence is
-# called out by name, then replay the XPath seed corpus through the
-# differential fuzzer (every accepted query runs on both interpreters,
-# plain, indexed, and under a tight node budget).
+# of ctest above; rerun it alone under ASan so an answer that differs
+# between the VM and the reference walk is called out by name, then
+# replay the XPath seed corpus through the differential fuzzer (every
+# accepted query runs on the VM plain, indexed, and under a tight node
+# budget, and is compared with the reference walk's answer).
 echo "== compiled-plan differential harness under ASan =="
 "$BUILD_DIR"/tests/plan_test
 
@@ -89,11 +90,13 @@ echo "== fuzz smoke =="
 "$BUILD_DIR"/fuzz/fuzz_xpath tests/corpus/xpath/*
 "$BUILD_DIR"/fuzz/fuzz_plan_diff tests/corpus/xpath/*
 
-# Allocation gate: compiled evaluation must keep its >= 3x win over the
-# pre-compilation AST walk (scripts/alloc_gate.json holds BENCH_alloc
-# .json's baseline divided by 3). Allocation *counts* are deterministic
-# and sanitizer-independent -- the tracker hooks operator new itself --
-# so gating under the ASan build is exact, not approximate.
+# Allocation gate: the VM's evaluate-phase allocations stay at or below
+# BENCH_alloc.json's baseline divided by 3 (scripts/alloc_gate.json).
+# That baseline was measured on the AST walk that served queries before
+# the VM; the walk no longer serves, but the gate keeps its numbers.
+# Allocation *counts* are deterministic and sanitizer-independent --
+# the tracker hooks operator new itself -- so gating under the ASan
+# build is exact, not approximate.
 echo "== compiled-plan allocation gate =="
 "$BUILD_DIR"/bench/bench_engine --metrics-json=/tmp/secview_alloc_gate.json \
   --benchmark_filter=NONE >/dev/null

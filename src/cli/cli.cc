@@ -70,7 +70,7 @@ usage:
                       [--no-optimize]
   secview query       --dtd FILE (--spec FILE | --view FILE) --xml FILE
                       --query XPATH [--bind NAME=VALUE]... [--no-optimize]
-                      [--no-compiled] [--extract] [--stats] [--trace-json FILE]
+                      [--extract] [--stats] [--trace-json FILE]
                       [--profile] [--profile-json FILE]
                       [--audit-log FILE [--audit-max-bytes N]]
                       [--metrics-prom FILE] [--metrics-snapshot-dir DIR]
@@ -80,7 +80,7 @@ usage:
   secview audit-verify --log FILE
   secview bench-serve  --dtd FILE --spec FILE --xml FILE --queries FILE
                       [--threads N] [--repeat N] [--bind NAME=VALUE]...
-                      [--no-optimize] [--no-compiled] [--metrics-prom FILE]
+                      [--no-optimize] [--metrics-prom FILE]
                       [--deadline-ms N] [--max-nodes N] [--queue-cap N]
                       [--telemetry-addr HOST:PORT] [--port-file FILE]
                       [--slow-query-micros N] [--trace-sample N] [--profile]
@@ -91,7 +91,7 @@ usage:
                       [--threads N] [--queue-cap N] [--slow-query-micros N]
                       [--trace-sample N] [--trace-capacity N]
                       [--max-seconds N] [--bind NAME=VALUE]...
-                      [--no-optimize] [--no-compiled]
+                      [--no-optimize]
                       [--audit-log FILE [--audit-max-bytes N]]
                       [--deadline-ms N] [--max-nodes N] [--profile]
                       [--heap-sample BYTES]
@@ -154,12 +154,12 @@ NAME=off|once|every:N|prob:P[:SEED] entries, e.g.
 audit.write net.accept net.recv net.send net.connect alloc.evaluate
 plan.compile cache.insert pool.submit. Injected faults degrade instead
 of crash: audit writes retry then drop-and-count (audit-verify reports
-the seq gaps), plan compile/cache failures fall back to AST
-evaluation, socket faults answer 500 or shed the connection, pool
-faults shed the query. `serve` reflects sustained degradation on
-/healthz ("degraded") and /statusz, and arms a crash reporter that
-prints build info, active query count, and the last slow query to
-stderr on SIGSEGV/SIGABRT.
+the seq gaps), alloc.evaluate and plan.compile faults refuse the
+query (exit 5), cache.insert faults skip caching that entry, socket
+faults answer 500 or shed the connection, pool faults shed the query.
+`serve` reflects sustained degradation on /healthz ("degraded") and
+/statusz, and arms a crash reporter that prints build info, active
+query count, and the last slow query to stderr on SIGSEGV/SIGABRT.
 
 Telemetry (docs/observability.md): `serve` runs a long-lived engine
 behind an embedded HTTP server (localhost by default; port 0 picks an
@@ -239,7 +239,7 @@ Result<Args> ParseArgs(const std::vector<std::string>& argv) {
         arg == "--extract" || arg == "--stats" || arg == "--json" ||
         arg == "--validate-prom" || arg == "--chrome" ||
         arg == "--validate" || arg == "--profile" ||
-        arg == "--no-compiled" || arg == "--collapsed") {
+        arg == "--collapsed") {
       args.switches[arg] = true;
       continue;
     }
@@ -559,7 +559,6 @@ Status CmdQuery(const Args& args, std::ostream& out) {
     ExecuteOptions options;
     options.bindings = args.bindings;
     options.optimize = optimize;
-    options.use_compiled = !args.switches.count("--no-compiled");
     options.trace = &trace;
     options.audit = audit_log.get();
     options.limits = limits.budget;
@@ -1060,7 +1059,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
   ExecuteOptions options;
   options.bindings = args.bindings;
   options.optimize = !args.switches.count("--no-optimize");
-  options.use_compiled = !args.switches.count("--no-compiled");
   options.audit = audit_log.get();
   options.limits = limits.budget;
   options.parse_limits = limits.xpath;
@@ -1183,7 +1181,6 @@ Status CmdBenchServe(const Args& args, std::ostream& out) {
   ExecuteOptions options;
   options.bindings = args.bindings;
   options.optimize = !args.switches.count("--no-optimize");
-  options.use_compiled = !args.switches.count("--no-compiled");
   options.limits = limits.budget;
   options.parse_limits = limits.xpath;
 

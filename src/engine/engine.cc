@@ -77,7 +77,6 @@ SecureQueryEngine::SecureQueryEngine(std::unique_ptr<Dtd> dtd,
   hot_.cache_size = &metrics_.GetGauge("engine.cache.size");
   hot_.cache_bytes = &metrics_.GetGauge("engine.cache.bytes");
   hot_.plan_compiles = &metrics_.GetCounter("engine.plan.compiles");
-  hot_.plan_fallbacks = &metrics_.GetCounter("engine.plan.fallbacks");
   hot_.plan_cached = &metrics_.GetGauge("engine.plan.cached");
   hot_.plan_cache_bytes = &metrics_.GetGauge("engine.plan.cache_bytes");
   hot_.execute_micros = &metrics_.GetHistogram("engine.execute.micros");
@@ -235,24 +234,22 @@ Result<std::string> SecureQueryEngine::PublishedViewDtd(
   return p->view.ViewDtdString();
 }
 
-std::shared_ptr<const CompiledPlan> SecureQueryEngine::CompileQueryPlan(
-    const PathPtr& query, obs::Trace* trace) {
+Result<std::shared_ptr<const CompiledPlan>>
+SecureQueryEngine::CompileQueryPlan(const PathPtr& query, obs::Trace* trace) {
   static FailPoint& compile_fault =
       FailPointRegistry::Instance().Get(failpoints::kPlanCompile);
   if (compile_fault.Fire()) {
-    // Simulated compiler failure: no plan. The evaluator falls back to
-    // the AST walk, which returns identical results — degraded speed,
-    // never degraded answers (counted in engine.plan.fallbacks).
-    return nullptr;
+    // Simulated compiler failure. The VM is the only evaluator, so the
+    // query is refused with the status class of a tripped resource
+    // budget (like alloc.evaluate) — never a partial or slower answer.
+    return Status::ResourceExhausted("plan compilation failed (injected)");
   }
   obs::ScopedSpan span(trace, "compile");
   obs::ScopedTimer timer(hot_.phase_compile);
   std::shared_ptr<const CompiledPlan> plan = CompilePlan(query);
-  if (plan != nullptr) {
-    hot_.plan_compiles->Add();
-    span.SetAttr("ops", static_cast<uint64_t>(plan->ops.size()));
-    span.SetAttr("bytes", static_cast<uint64_t>(plan->byte_size()));
-  }
+  hot_.plan_compiles->Add();
+  span.SetAttr("ops", static_cast<uint64_t>(plan->ops.size()));
+  span.SetAttr("bytes", static_cast<uint64_t>(plan->byte_size()));
   return plan;
 }
 
@@ -369,15 +366,14 @@ Result<std::shared_ptr<const CachedQuery>> SecureQueryEngine::Prepare(
   value->evaluated_size = value->evaluated == rewritten
                               ? value->rewritten_size
                               : PathSize(value->evaluated);
-  value->plan = CompileQueryPlan(value->evaluated, trace);
+  SECVIEW_ASSIGN_OR_RETURN(value->plan,
+                           CompileQueryPlan(value->evaluated, trace));
   static FailPoint& insert_fault =
       FailPointRegistry::Instance().Get(failpoints::kCacheInsert);
-  if (value->plan == nullptr || insert_fault.Fire()) {
-    // A failed compile (injected plan.compile fault) or a simulated
-    // cache-insert failure: serve this execution from the locally built
-    // entry (plan-less ones by the AST walk) and skip caching it, so
-    // every resident entry has a plan and the next miss retries.
-    // Degraded speed or hit rate, same answer.
+  if (insert_fault.Fire()) {
+    // A simulated cache-insert failure: serve this execution from the
+    // locally built entry and skip caching it, so the next miss retries.
+    // Degraded hit rate, same answer.
     return std::shared_ptr<const CachedQuery>(std::move(value));
   }
   // Two threads that missed on the same key both prepared the (same,
@@ -447,9 +443,6 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
       Prepare(*policy, query_text, options.optimize, doc_height, options.trace,
               &result.stats, options.parse_limits, budget_ptr));
   result.rewritten = prepared->rewritten;
-  // Every entry carries a plan; --no-compiled forces the AST walk anyway.
-  const CompiledPlan* plan =
-      options.use_compiled ? prepared->plan.get() : nullptr;
   if (budget_ptr != nullptr) SECVIEW_RETURN_IF_ERROR(budget_ptr->Check());
   PathPtr to_run;
   {
@@ -465,13 +458,6 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
   result.stats.ast_size_rewritten = prepared->rewritten_size;
   result.stats.ast_size_evaluated = prepared->evaluated_size;
 
-  if (options.use_compiled && plan == nullptr) {
-    // The caller asked for the compiled path but this execution's
-    // compile failed (the entry was not cached). The AST walk below
-    // returns the same nodes; account the fallback so operators can see
-    // the lost speed.
-    hot_.plan_fallbacks->Add();
-  }
   static FailPoint& alloc_fault =
       FailPointRegistry::Instance().Get(failpoints::kAllocEvaluate);
   if (alloc_fault.Fire()) {
@@ -499,22 +485,15 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
       profiler.emplace();
       evaluator.set_profiler(&*profiler);
     }
-    if (plan != nullptr) {
-      // Compiled path: the plan was lowered from the *unbound* AST;
-      // $parameters resolve against options.bindings per execution, so
-      // one cached plan serves every binding. Pooled per-thread scratch
-      // buffers keep the steady state allocation-free.
-      SECVIEW_ASSIGN_OR_RETURN(
-          result.nodes,
-          evaluator.EvaluateCompiled(*plan, doc.root(), options.bindings));
-      result.stats.compiled = true;
-    } else {
-      SECVIEW_ASSIGN_OR_RETURN(result.nodes,
-                               evaluator.Evaluate(to_run, doc.root()));
-    }
+    // The plan was lowered from the *unbound* AST; $parameters resolve
+    // against options.bindings per execution, so one cached plan serves
+    // every binding. Pooled per-thread scratch buffers keep the steady
+    // state allocation-free.
+    SECVIEW_ASSIGN_OR_RETURN(
+        result.nodes, evaluator.EvaluateCompiled(*prepared->plan, doc.root(),
+                                                 options.bindings));
     result.stats.nodes_touched = evaluator.counters().nodes_touched;
     result.stats.predicate_evals = evaluator.counters().predicate_evals;
-    span.SetAttr("plan", plan != nullptr ? "compiled" : "ast");
     span.SetAttr("nodes_touched", result.stats.nodes_touched);
     span.SetAttr("predicate_evals", result.stats.predicate_evals);
     span.SetAttr("results", static_cast<uint64_t>(result.nodes.size()));

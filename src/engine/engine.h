@@ -98,14 +98,6 @@ struct ExecuteOptions {
   /// per plan-node invocation. Profiling is also implied (regardless of
   /// this flag) while a PlanProfileTable is attached.
   bool profile = false;
-
-  /// Evaluate through the compiled query plan (xpath/plan.h): every
-  /// cache entry carries its AST lowered once into flat step bytecode,
-  /// executed over pooled scratch buffers. Results, statuses, counters,
-  /// budget charging, and profiles are identical to the AST walk
-  /// (guarded by tests/plan_test.cc); turn this off (`--no-compiled` in
-  /// the CLI) only to A/B the interpreter paths.
-  bool use_compiled = true;
 };
 
 /// Structured per-execution statistics (the successor of the old bare
@@ -122,9 +114,6 @@ struct ExecuteStats {
   size_t result_count = 0;
   /// True iff the prepared query came out of the rewrite cache.
   bool cache_hit = false;
-  /// True iff evaluation ran the compiled plan rather than the AST walk
-  /// (ExecuteOptions::use_compiled and compilation succeeded).
-  bool compiled = false;
   /// Unfolding depth used (0 for non-recursive views).
   int unfold_depth = 0;
   /// |p| after rewriting, before optimization.
@@ -213,7 +202,10 @@ struct ExecuteResult {
 /// derived from each document's height and is 0 for non-recursive
 /// views). engine_test.cc guards this keying with a regression test.
 /// The cache is sharded, lock-striped, and bounded (EngineOptions);
-/// evictions are LRU-ish per shard.
+/// evictions are LRU-ish per shard. Every execution evaluates its
+/// entry's compiled plan on the XPathEvaluator VM (xpath/vm.cc), the one
+/// evaluator that counts, budgets and profiles. A query whose plan fails
+/// to compile is refused with ResourceExhausted and not cached.
 ///
 /// The engine keeps a lifetime obs::MetricsRegistry (see metrics()):
 /// per-policy query counts, rewrite-cache hits/misses, rewriter/optimizer
@@ -429,12 +421,6 @@ class SecureQueryEngine {
     /// engine.plan.cache_bytes — bytes of resident compiled plans
     /// (subset of engine.cache.bytes).
     obs::Gauge* plan_cache_bytes = nullptr;
-    /// engine.plan.fallbacks — executions that asked for the compiled
-    /// path but ran the AST walk because the compile failed (an injected
-    /// plan.compile fault; such an entry is not cached). Results are
-    /// identical either way; this counts the lost speed, not lost
-    /// correctness.
-    obs::Counter* plan_fallbacks = nullptr;
     /// engine.execute.micros — end-to-end Execute latency (all phases,
     /// successes and failures alike).
     obs::Histogram* execute_micros = nullptr;
@@ -489,9 +475,9 @@ class SecureQueryEngine {
   /// -> [optimize ->] compile -> cache insert. `optimize` is reduced to
   /// the effective flag (optimize && CanOptimize()) before keying. Safe
   /// from many threads (serve phase). `trace`, `stats`, and `budget` may
-  /// be null. A budget-tripped preparation is never cached, and neither
-  /// is one whose compile failed (it is returned plan-less, for this one
-  /// execution).
+  /// be null. A preparation that trips its budget or fails to compile
+  /// (an injected plan.compile fault, ResourceExhausted) refuses the
+  /// query and caches nothing, so every resident entry has a plan.
   Result<std::shared_ptr<const CachedQuery>> Prepare(
       Policy& policy, std::string_view query_text, bool optimize, int depth,
       obs::Trace* trace, ExecuteStats* stats,
@@ -499,8 +485,8 @@ class SecureQueryEngine {
 
   /// Lowers a rewritten query to bytecode under the "compile" span /
   /// phase.compile.micros timer and bumps engine.plan.compiles.
-  std::shared_ptr<const CompiledPlan> CompileQueryPlan(const PathPtr& query,
-                                                       obs::Trace* trace);
+  Result<std::shared_ptr<const CompiledPlan>> CompileQueryPlan(
+      const PathPtr& query, obs::Trace* trace);
 
   /// Execute minus the audit bookkeeping; fills `result` as far as the
   /// execution got, so a failing run still exposes partial provenance

@@ -348,7 +348,6 @@ std::string TelemetryServer::RenderStatusz() const {
   // trail has gaps (audit-verify reports the exact sequence holes).
   uint64_t audit_events = 0;
   uint64_t audit_dropped = 0;
-  uint64_t plan_fallbacks = 0;
   bool have_audit = false;
   for (const auto& [name, value] : snapshot.counters) {
     std::string_view n = name;
@@ -360,7 +359,6 @@ std::string TelemetryServer::RenderStatusz() const {
       audit_dropped = value;
       have_audit = true;
     }
-    if (n == "engine.plan.fallbacks") plan_fallbacks = value;
   }
   if (have_audit || audit_dropped > 0) {
     out << "\naudit\n";
@@ -368,11 +366,6 @@ std::string TelemetryServer::RenderStatusz() const {
         << " dropped";
     if (audit_dropped > 0) out << "  ** DEGRADED: audit trail has gaps **";
     out << "\n";
-  }
-  if (plan_fallbacks > 0) {
-    out << "\nplan fallbacks\n";
-    out << "  " << plan_fallbacks
-        << " executions fell back from compiled plan to AST walk\n";
   }
 
   // Failpoints only appear once something is armed or has fired, so a

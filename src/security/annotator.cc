@@ -31,7 +31,6 @@ Result<AccessibilityLabeling> ComputeAccessibility(const XmlTree& tree,
   // of v (strictly above v) hold. Computed top-down; nodes are in document
   // order so parents precede children.
   std::vector<bool> anc_quals_ok(n, true);
-  XPathEvaluator evaluator(tree);
 
   // Root: annotated Y by default, no ancestors.
   labeling.accessible[tree.root()] = true;
@@ -67,7 +66,7 @@ Result<AccessibilityLabeling> ComputeAccessibility(const XmlTree& tree,
           break;
         case AnnotationKind::kQualifier: {
           SECVIEW_ASSIGN_OR_RETURN(
-              bool holds, evaluator.EvaluateQualifier(ann->qualifier, v));
+              bool holds, EvaluateQualifierAtNode(tree, ann->qualifier, v));
           qual_here = holds;
           labeling.accessible[v] = anc_ok && holds;
           break;

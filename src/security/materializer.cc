@@ -15,8 +15,7 @@ class Materializer {
   Materializer(const XmlTree& doc, const SecurityView& view,
                const AccessibilityLabeling* labeling,
                const std::vector<std::pair<std::string, std::string>>& bindings)
-      : doc_(doc), view_(view), labeling_(labeling), bindings_(bindings),
-        evaluator_(doc) {}
+      : doc_(doc), view_(view), labeling_(labeling), bindings_(bindings) {}
 
   Result<XmlTree> Run() {
     out_.CreateRoot(view_.TypeName(view_.root()));
@@ -30,7 +29,7 @@ class Materializer {
   /// Evaluates a (bound) sigma annotation at the origin node.
   Result<NodeSet> EvalSigma(const PathPtr& sigma, NodeId origin) {
     PathPtr bound = BindParams(sigma, bindings_);
-    return evaluator_.Evaluate(bound, origin);
+    return EvaluateAtNode(doc_, bound, origin);
   }
 
   bool IsAccessible(NodeId doc_node) const {
@@ -138,7 +137,6 @@ class Materializer {
   const SecurityView& view_;
   const AccessibilityLabeling* labeling_;
   const std::vector<std::pair<std::string, std::string>>& bindings_;
-  XPathEvaluator evaluator_;
   XmlTree out_;
 };
 

@@ -18,15 +18,6 @@ namespace secview {
 /// duplicates.
 using NodeSet = std::vector<NodeId>;
 
-/// Set-at-a-time evaluator for the paper's XPath fragment over one
-/// XmlTree. The result of evaluating p at context v is v[[p]]: the set of
-/// element nodes reachable via p from v (Section 2). Node sets contain
-/// element nodes; `[p = c]` compares the concatenated text content of the
-/// reached elements with c, which coincides with the paper's text-node
-/// formulation because PCDATA only occurs under str-typed elements.
-///
-/// The evaluator is stateless between calls apart from its cost counters
-/// (below), which benchmarks use as machine-independent cost measures.
 class LabelIndex;
 class PlanProfiler;
 struct CompiledPlan;
@@ -57,6 +48,18 @@ struct EvalMetrics {
   static EvalMetrics Resolve(obs::MetricsRegistry& registry);
 };
 
+/// The serving evaluator for the paper's XPath fragment over one
+/// XmlTree: it runs compiled plans (xpath/plan.h) on the bytecode VM in
+/// xpath/vm.cc. The result of evaluating p at context v is v[[p]]: the
+/// set of element nodes reachable via p from v (Section 2). `[p = c]`
+/// compares the concatenated text content of the reached elements with
+/// c, which coincides with the paper's text-node formulation because
+/// PCDATA only occurs under str-typed elements.
+///
+/// The VM is the only evaluator that counts (EvalCounters, eval.*
+/// metrics), charges a QueryBudget, feeds a PlanProfiler and uses a
+/// LabelIndex. The reference walk at the end of this header answers the
+/// same queries with none of that, for tests and oracles.
 class XPathEvaluator {
  public:
   explicit XPathEvaluator(const XmlTree& tree) : tree_(&tree) {}
@@ -67,28 +70,22 @@ class XPathEvaluator {
   XPathEvaluator(const XmlTree& tree, const LabelIndex* index)
       : tree_(&tree), index_(index) {}
 
-  /// Evaluates `p` at a single context node. Fails if `p` still contains
-  /// unbound $parameters.
+  /// Compiles `p` (with PlanCompileOptions::use_index iff an index is
+  /// attached) and runs the plan at a single context node. Fails with
+  /// InvalidArgument on a null query and FailedPrecondition if `p` still
+  /// contains unbound $parameters.
   Result<NodeSet> Evaluate(const PathPtr& p, NodeId context);
 
-  /// Evaluates `p` at a set of context nodes (must be sorted, duplicate
-  /// free).
+  /// Same, at a set of context nodes (must be sorted, duplicate free).
   Result<NodeSet> Evaluate(const PathPtr& p, const NodeSet& context);
 
-  /// Evaluates a qualifier at one node.
-  Result<bool> EvaluateQualifier(const QualPtr& q, NodeId node);
-
-  /// Executes a compiled plan (xpath/plan.h) — semantically identical
-  /// to Evaluate on the plan's source AST, including every counter,
-  /// budget checkpoint, and profiler frame, but runs the flat bytecode
-  /// over pooled NodeSet buffers from `scratch` instead of re-walking
-  /// the AST and allocating a fresh set per step. `bindings` resolve
-  /// the plan's $parameter constants per call (the plan itself stays
-  /// unbound, so cached plans serve every binding set). `scratch`
-  /// defaults to the calling thread's EvalScratch::ThreadLocal().
-  /// Fails with FailedPrecondition when a $parameter is unbound, and
-  /// when the plan was compiled with PlanCompileOptions::use_index but
-  /// no LabelIndex is attached. Implemented in xpath/vm.cc.
+  /// Executes a compiled plan over pooled NodeSet buffers from
+  /// `scratch`. `bindings` resolve the plan's $parameter constants per
+  /// call, first match wins (the plan itself stays unbound, so cached
+  /// plans serve every binding set). `scratch` defaults to the calling
+  /// thread's EvalScratch::ThreadLocal(). Fails with FailedPrecondition
+  /// when a $parameter is unbound, and when the plan was compiled with
+  /// PlanCompileOptions::use_index but no LabelIndex is attached.
   Result<NodeSet> EvaluateCompiled(
       const CompiledPlan& plan, NodeId context,
       const std::vector<std::pair<std::string, std::string>>& bindings = {},
@@ -99,11 +96,11 @@ class XPathEvaluator {
       EvalScratch* scratch = nullptr);
 
   /// Attaches pre-resolved registry counters: every public
-  /// Evaluate/EvaluateQualifier/EvaluateCompiled call flushes the
-  /// counters it accumulated into them (EvalMetrics names each one), and
-  /// EvaluateCompiled also bumps `eval.compiled_queries`. The hot loops
-  /// only bump plain fields; the atomic adds happen once per call. The
-  /// struct must outlive the evaluator's use of it; nullptr detaches.
+  /// Evaluate/EvaluateCompiled call flushes the counters it accumulated
+  /// into them (EvalMetrics names each one) and bumps
+  /// `eval.compiled_queries`. The hot loops only bump plain fields; the
+  /// atomic adds happen once per call. The struct must outlive the
+  /// evaluator's use of it; nullptr detaches.
   void set_metrics(const EvalMetrics* metrics) { metrics_ = metrics; }
 
   /// Attaches a cooperative budget: evaluation charges node visits to it
@@ -120,10 +117,11 @@ class XPathEvaluator {
   }
 
   /// Attaches a per-step plan profiler (xpath/profiler.h): every plan
-  /// node and qualifier evaluation opens a profile frame, producing an
-  /// EXPLAIN ANALYZE-style StepProfile tree. Pass nullptr to detach.
-  /// The unprofiled fast path costs one pointer compare per plan-node
-  /// invocation; results are identical with and without a profiler.
+  /// op and qualifier evaluation opens a profile frame keyed on the op's
+  /// source AST node, producing an EXPLAIN ANALYZE-style StepProfile
+  /// tree. Pass nullptr to detach. The unprofiled fast path costs one
+  /// pointer compare per op invocation; results are identical with and
+  /// without a profiler.
   void set_profiler(PlanProfiler* profiler) { profiler_ = profiler; }
 
   /// Costs accumulated since construction or ResetWork().
@@ -135,28 +133,16 @@ class XPathEvaluator {
   void ResetWork() { counters_ = {}; }
 
  private:
-  /// Dispatcher: the unprofiled path falls straight through to EvalStep;
-  /// with a profiler attached it brackets EvalStep in a profile frame.
-  NodeSet Eval(const PathPtr& p, const NodeSet& ctx);
-  NodeSet EvalStep(const PathPtr& p, const NodeSet& ctx);
-  NodeSet EvalLabel(int label_id, const NodeSet& ctx);
-  NodeSet EvalDescLabelIndexed(int label_id, const NodeSet& ctx);
-  NodeSet EvalWildcard(const NodeSet& ctx);
-  NodeSet EvalDescOrSelf(const NodeSet& ctx);
-  /// Dispatcher/body split, same shape as Eval/EvalStep.
-  bool EvalQual(const QualPtr& q, NodeId node);
-  bool EvalQualStep(const QualPtr& q, NodeId node);
-
-  /// Compiled-plan VM (xpath/vm.cc): mirrors the Eval/EvalStep and
-  /// EvalQual/EvalQualStep pairs op for op, writing into pooled buffers
-  /// instead of returning sets by value. Indices address the plan bound
-  /// in plan_ for the duration of one EvaluateCompiled call.
+  /// One op invocation: an empty context short-circuits before the
+  /// budget checkpoint and opens no profiler frame. Indices address the
+  /// plan bound in plan_ for the duration of one EvaluateCompiled call.
   void RunOp(int32_t op, const NodeSet& ctx, NodeSet& out);
   void RunOpStep(int32_t op, const NodeSet& ctx, NodeSet& out);
   void RunLabel(int label_id, const NodeSet& ctx, NodeSet& out);
   void RunWildcard(const NodeSet& ctx, NodeSet& out);
   void RunDescOrSelf(const NodeSet& ctx, NodeSet& out);
   void RunDescLabelIndexed(int label_id, const NodeSet& ctx, NodeSet& out);
+  /// Dispatcher/body split, same shape as RunOp/RunOpStep.
   bool RunQual(int32_t q, NodeId node);
   bool RunQualStep(int32_t q, NodeId node);
 
@@ -192,18 +178,38 @@ class XPathEvaluator {
   bool budget_stop_ = false;
   Status budget_status_;
 
-  /// Execution state of the compiled-plan VM, valid only during an
-  /// EvaluateCompiled call: the plan being run, the scratch arena, and
-  /// the per-call label/constant resolutions (slot arrays owned by the
-  /// scratch, exposed here as raw pointers for the hot loops).
+  /// Execution state, valid only during an EvaluateCompiled call: the
+  /// plan being run, the scratch arena, and the per-call label/constant
+  /// resolutions (slot arrays owned by the scratch, exposed here as raw
+  /// pointers for the hot loops).
   const CompiledPlan* plan_ = nullptr;
   EvalScratch* scratch_ = nullptr;
   const int* plan_labels_ = nullptr;
   const std::string* const* plan_consts_ = nullptr;
 };
 
-/// Convenience wrapper: evaluates `p` at the tree root.
+// ---------------------------------------------------------------------------
+// Reference walk (xpath/evaluator.cc)
+//
+// A plain recursive walk of the AST that states the fragment's semantics
+// directly. It has no counters, budget, profiler, metrics or index, and
+// shares no code with the VM, so it serves as the independent answer
+// that the VM is differentially tested against (tests/plan_test.cc,
+// fuzz/fuzz_plan_diff.cc) and as the evaluator of the oracle paths:
+// MaterializeView, ComputeAccessibility (and with it the naive
+// baseline) and the materialize-then-evaluate check. Each entry point
+// fails with FailedPrecondition while its input has unbound $parameters.
+
+/// Evaluates `p` at the tree root. Fails on an empty document.
 Result<NodeSet> EvaluateAtRoot(const XmlTree& tree, const PathPtr& p);
+
+/// Evaluates `p` at one context node.
+Result<NodeSet> EvaluateAtNode(const XmlTree& tree, const PathPtr& p,
+                               NodeId context);
+
+/// Evaluates a qualifier at one node.
+Result<bool> EvaluateQualifierAtNode(const XmlTree& tree, const QualPtr& q,
+                                     NodeId node);
 
 }  // namespace secview
 

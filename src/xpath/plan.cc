@@ -39,10 +39,10 @@ class PlanBuilder {
         op.right = CompilePath(p->right);
         break;
       case PathKind::kDescOrSelf: {
-        // Pre-decide the evaluator's runtime index check: '//label' and
-        // '//label[q]' become one index-scan op (the inner label — and
-        // for the qualified form the filter — never get ops of their
-        // own, mirroring the interpreter's frame structure exactly).
+        // With an index, '//label' and '//label[q]' become one
+        // index-scan op (the inner label — and for the qualified form
+        // the filter — get no ops, hence no profiler frames, of their
+        // own).
         if (use_index_) {
           const PathPtr& step = p->left;
           const PathPtr* label_part = &step;

@@ -35,7 +35,7 @@ namespace secview {
 /// AST in ShardedRewriteCache and share it, read-only, across all
 /// serving threads (docs/concurrency.md).
 struct CompiledPlan {
-  /// Path-step opcodes, one per PathKind the evaluator dispatches on,
+  /// Path-step opcodes, one per PathKind,
   /// plus kDescLabelIndexed: the pre-decided index-scan form of
   /// '//label' / '//label[q]' emitted when the plan is compiled for a
   /// LabelIndex (PlanCompileOptions::use_index). Bytecode op reference:

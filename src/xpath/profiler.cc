@@ -12,7 +12,7 @@ namespace secview {
 namespace {
 
 /// The label part of a '//p' step: p itself, or p's base when the step
-/// is qualified — mirroring the evaluator's indexed-path peeling.
+/// is qualified — as the plan compiler peels it for index scans.
 const PathExpr* DescendantInner(const PathExpr* p) {
   const PathExpr* step = p->left.get();
   if (step != nullptr && step->kind == PathKind::kQualified) {

@@ -1,14 +1,11 @@
-// Compiled-plan executor (the VM half of xpath/plan.h): runs the flat
-// step bytecode produced by CompilePlan over pooled NodeSet buffers.
-//
-// Parity contract: every op here reproduces its xpath/evaluator.cc
-// counterpart *exactly* — the same counter increments in the same
-// order, the same BudgetTripped checkpoints, the same SortUnique-skip
-// condition, and the same profiler frame structure (an op whose context
-// is empty opens no frame, like Eval's early return). The differential
-// harness (tests/plan_test.cc, fuzz/fuzz_plan_diff.cc) holds both
-// implementations to identical NodeSets, statuses, and EvalCounters;
-// any change to one side must land on both.
+// The serving evaluator (XPathEvaluator, declared in xpath/evaluator.h):
+// runs the flat step bytecode produced by CompilePlan over pooled
+// NodeSet buffers. This file alone defines what evaluation counts (the
+// EvalCounters behind the eval.* metrics), where a QueryBudget is
+// charged (every QueryBudget::kNodeStride node visits, plus the tail at
+// the end of a call) and which profiler frames open (one per op or
+// qualifier invocation with a non-empty context). The reference walk in
+// xpath/evaluator.cc checks its answers, not its counts.
 
 #include <algorithm>
 
@@ -40,6 +37,30 @@ class BorrowedSet {
 };
 
 }  // namespace
+
+EvalMetrics EvalMetrics::Resolve(obs::MetricsRegistry& registry) {
+  EvalMetrics m;
+  m.nodes_touched = &registry.GetCounter("eval.nodes_touched");
+  m.predicate_evals = &registry.GetCounter("eval.predicate_evals");
+  m.index_scans = &registry.GetCounter("eval.index_scans");
+  m.sort_skips = &registry.GetCounter("eval.sort_skips");
+  m.budget_checks = &registry.GetCounter("xpath.budget_checks");
+  m.compiled_queries = &registry.GetCounter("eval.compiled_queries");
+  return m;
+}
+
+Result<NodeSet> XPathEvaluator::Evaluate(const PathPtr& p, NodeId context) {
+  if (!p) return Status::InvalidArgument("null query");
+  return EvaluateCompiled(*CompilePlan(p, {.use_index = index_ != nullptr}),
+                          context);
+}
+
+Result<NodeSet> XPathEvaluator::Evaluate(const PathPtr& p,
+                                         const NodeSet& context) {
+  if (!p) return Status::InvalidArgument("null query");
+  return EvaluateCompiled(*CompilePlan(p, {.use_index = index_ != nullptr}),
+                          context);
+}
 
 Result<NodeSet> XPathEvaluator::EvaluateCompiled(
     const CompiledPlan& plan, NodeId context,
@@ -75,8 +96,7 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
 
   // Per-call resolution: plan label strings -> this tree's interned
   // ids (one hash lookup per distinct label, not per step invocation),
-  // plan constants -> bound strings. Same first-match-wins rule as
-  // BindParams, so both paths read identical comparison values.
+  // plan constants -> bound strings, first match wins like BindParams.
   std::vector<int>& labels = scratch->label_slots();
   labels.clear();
   for (const std::string& label : plan.labels) {
@@ -97,8 +117,6 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
       }
     }
     if (bound == nullptr) {
-      // Message parity with Evaluate() on an unbound AST, so the
-      // differential harness can compare statuses verbatim.
       return Status::FailedPrecondition(
           "query contains unbound $parameters; call BindParams first");
     }
@@ -131,8 +149,6 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
   return result;
 }
 
-// Mirrors Eval(): an empty context short-circuits before the budget
-// checkpoint and opens no profiler frame.
 void XPathEvaluator::RunOp(int32_t op_idx, const NodeSet& ctx, NodeSet& out) {
   out.clear();
   if (ctx.empty()) return;
@@ -222,6 +238,9 @@ void XPathEvaluator::RunLabel(int label_id, const NodeSet& ctx, NodeSet& out) {
       }
     }
   }
+  // Context nodes may be nested within each other, in which case the
+  // concatenated child lists are not globally sorted. A single context
+  // node's child list is already in document order and duplicate-free.
   if (ctx.size() == 1) {
     ++counters_.sort_skips;
   } else {
@@ -279,6 +298,49 @@ void XPathEvaluator::RunDescLabelIndexed(int label_id, const NodeSet& ctx,
     }
     covered_until = end;
   }
+}
+
+void XPathEvaluator::SortUnique(NodeSet& set) {
+  std::sort(set.begin(), set.end());
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+}
+
+void XPathEvaluator::FlushDelta(const EvalCounters& before) {
+  if (metrics_ == nullptr) return;
+  if (uint64_t d = counters_.nodes_touched - before.nodes_touched; d > 0) {
+    metrics_->nodes_touched->Add(d);
+  }
+  if (uint64_t d = counters_.predicate_evals - before.predicate_evals; d > 0) {
+    metrics_->predicate_evals->Add(d);
+  }
+  if (uint64_t d = counters_.index_scans - before.index_scans; d > 0) {
+    metrics_->index_scans->Add(d);
+  }
+  if (uint64_t d = counters_.sort_skips - before.sort_skips; d > 0) {
+    metrics_->sort_skips->Add(d);
+  }
+  if (uint64_t d = counters_.budget_checks - before.budget_checks; d > 0) {
+    metrics_->budget_checks->Add(d);
+  }
+}
+
+void XPathEvaluator::ChargeBudget(uint64_t delta) {
+  budget_charged_ = counters_.nodes_touched;
+  ++counters_.budget_checks;
+  Status st = budget_->ChargeNodes(delta);
+  if (!st.ok()) {
+    budget_stop_ = true;
+    budget_status_ = std::move(st);
+  }
+}
+
+Status XPathEvaluator::FinishBudget() {
+  // Charge the sub-stride tail so small budgets trip deterministically
+  // even on queries that never cross a stride boundary.
+  if (!budget_stop_) {
+    ChargeBudget(counters_.nodes_touched - budget_charged_);
+  }
+  return budget_status_;
 }
 
 bool XPathEvaluator::RunQual(int32_t q_idx, NodeId node) {

@@ -32,6 +32,7 @@
 #include "workload/hospital.h"
 #include "workload/synthetic.h"
 #include "xml/parser.h"
+#include "xpath/evaluator.h"
 
 namespace secview {
 namespace {
@@ -263,28 +264,7 @@ TEST(ChaosTest, DisarmedFailpointsAreFreeAndInert) {
   EXPECT_EQ(registry.TotalFires(), fires_before);
 }
 
-TEST(ChaosTest, PlanCompileFaultFallsBackToAstEvaluation) {
-  auto engine = MakeEngine();
-  XmlTree doc = MakeDoc();
-  FailPointRegistry& registry = FailPointRegistry::Instance();
-  registry.DisarmAll();
-  ExecuteOptions options = NurseOptions();
-
-  auto clean = engine->Execute("nurse", doc, "//patient//bill", options);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-
-  ASSERT_TRUE(registry.ArmFromSpec("plan.compile=every:1").ok());
-  const uint64_t fallbacks_before =
-      CounterValue(engine->metrics(), "engine.plan.fallbacks");
-  // A fresh query text forces a cache miss, hence a (failing) compile.
-  auto degraded = engine->Execute("nurse", doc, "//patient//medication", options);
-  registry.DisarmAll();
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  EXPECT_GT(CounterValue(engine->metrics(), "engine.plan.fallbacks"),
-            fallbacks_before);
-}
-
-TEST(ChaosTest, PlanCompileFaultLeavesEntryUncachedUntilCleanCompile) {
+TEST(ChaosTest, PlanCompileFaultRefusesQueryAndCachesNothing) {
   auto engine = MakeEngine();
   XmlTree doc = MakeDoc();
   FailPointRegistry& registry = FailPointRegistry::Instance();
@@ -292,31 +272,36 @@ TEST(ChaosTest, PlanCompileFaultLeavesEntryUncachedUntilCleanCompile) {
   ExecuteOptions options = NurseOptions();
   obs::MetricsRegistry& metrics = engine->metrics();
 
+  // The VM is the only evaluator, so a failed compile refuses the whole
+  // query with the alloc.evaluate status class and leaves no entry.
   ASSERT_TRUE(registry.ArmFromSpec("plan.compile=every:1").ok());
-  auto degraded = engine->Execute("nurse", doc, "//patient//bill", options);
+  auto refused = engine->Execute("nurse", doc, "//patient//bill", options);
   registry.DisarmAll();
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  EXPECT_FALSE(degraded->stats.compiled);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+      << refused.status();
   EXPECT_EQ(metrics.GetGauge("engine.cache.size").value(), 0);
   EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(), 0);
-  EXPECT_EQ(CounterValue(metrics, "engine.plan.fallbacks"), 1u);
   EXPECT_EQ(CounterValue(metrics, "engine.plan.compiles"), 0u);
 
-  // The next clean execution misses again, compiles, and caches.
+  // The next clean execution misses, compiles, caches and answers.
   auto clean = engine->Execute("nurse", doc, "//patient//bill", options);
   ASSERT_TRUE(clean.ok()) << clean.status();
   EXPECT_FALSE(clean->stats.cache_hit);
-  EXPECT_TRUE(clean->stats.compiled);
-  EXPECT_EQ(clean->nodes, degraded->nodes);
+  EXPECT_FALSE(clean->nodes.empty());
+  auto reference = EvaluateAtRoot(doc, clean->evaluated);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(clean->nodes, *reference);
   EXPECT_EQ(CounterValue(metrics, "engine.plan.compiles"), 1u);
   EXPECT_EQ(metrics.GetGauge("engine.cache.size").value(), 1);
   EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(), 1);
 
+  // The request after that hits the cached entry.
   auto hit = engine->Execute("nurse", doc, "//patient//bill", options);
   ASSERT_TRUE(hit.ok()) << hit.status();
   EXPECT_TRUE(hit->stats.cache_hit);
-  EXPECT_TRUE(hit->stats.compiled);
-  EXPECT_EQ(CounterValue(metrics, "engine.plan.fallbacks"), 1u);
+  EXPECT_EQ(hit->nodes, clean->nodes);
+  EXPECT_EQ(CounterValue(metrics, "engine.plan.compiles"), 1u);
 }
 
 TEST(ChaosTest, SustainedInjectionDegradesHealthThenRecovers) {

@@ -10,6 +10,7 @@
 #include "workload/synthetic.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
+#include "xpath/evaluator.h"
 #include "xpath/printer.h"
 #include "xpath/profiler.h"
 
@@ -126,25 +127,20 @@ TEST_F(EngineTest, ExecuteReportsStructuredStats) {
   EXPECT_TRUE(again->stats.cache_hit);
 }
 
-TEST_F(EngineTest, CompiledAndAstPathsReturnIdenticalResults) {
-  ExecuteOptions compiled;
-  compiled.bindings = {{"wardNo", "3"}};
-  ExecuteOptions ast = compiled;
-  ast.use_compiled = false;
+TEST_F(EngineTest, ExecuteMatchesReferenceWalk) {
+  // The served answer (compiled plan on the VM) equals the reference
+  // walk of the same bound, evaluated query over the document.
+  ExecuteOptions options;
+  options.bindings = {{"wardNo", "3"}};
   for (const char* q : {"//patient/name", "//bill", "//patient//bill",
                         "//patient[wardNo]/name", "//bill | //medication"}) {
     for (bool optimize : {true, false}) {
-      compiled.optimize = optimize;
-      ast.optimize = optimize;
-      auto with_plan = engine_->Execute("nurse", doc_, q, compiled);
-      auto with_ast = engine_->Execute("nurse", doc_, q, ast);
-      ASSERT_TRUE(with_plan.ok()) << q << ": " << with_plan.status();
-      ASSERT_TRUE(with_ast.ok()) << q << ": " << with_ast.status();
-      EXPECT_EQ(with_plan->nodes, with_ast->nodes) << q;
-      EXPECT_EQ(with_plan->stats.nodes_touched, with_ast->stats.nodes_touched)
-          << q;
-      EXPECT_TRUE(with_plan->stats.compiled) << q;
-      EXPECT_FALSE(with_ast->stats.compiled) << q;
+      options.optimize = optimize;
+      auto result = engine_->Execute("nurse", doc_, q, options);
+      ASSERT_TRUE(result.ok()) << q << ": " << result.status();
+      auto reference = EvaluateAtRoot(doc_, result->evaluated);
+      ASSERT_TRUE(reference.ok()) << q << ": " << reference.status();
+      EXPECT_EQ(result->nodes, *reference) << q << " optimize=" << optimize;
     }
   }
 }
@@ -174,13 +170,10 @@ TEST_F(EngineTest, PlanCompilesOncePerEntryAndMetricsTrackResidency) {
   EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 2u);
   EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(), 2);
 
-  // An AST-path execution still caches a plan-carrying entry on a miss,
-  // but does not run the VM.
-  ExecuteOptions ast = options;
-  ast.use_compiled = false;
-  ASSERT_TRUE(engine_->Execute("nurse", doc_, "//wardNo", ast).ok());
+  // Every execution runs the VM, and every miss caches a plan.
+  ASSERT_TRUE(engine_->Execute("nurse", doc_, "//wardNo", options).ok());
   EXPECT_EQ(metrics.GetCounter("engine.plan.compiles").value(), 3u);
-  EXPECT_EQ(metrics.GetCounter("eval.compiled_queries").value(), 3u);
+  EXPECT_EQ(metrics.GetCounter("eval.compiled_queries").value(), 4u);
   EXPECT_EQ(metrics.GetGauge("engine.plan.cached").value(),
             metrics.GetGauge("engine.cache.size").value());
 }

@@ -1,12 +1,14 @@
-// Differential correctness harness for the compiled-plan executor
-// (xpath/plan.h + xpath/vm.cc): every test here runs the same query
-// through the AST-walking evaluator and the compiled-plan VM and
-// asserts the two paths are indistinguishable — identical NodeSets,
-// identical statuses (code and message), and identical EvalCounters
-// including budget_checks. The fuzz companion is fuzz/fuzz_plan_diff.cc.
+// Differential correctness harness for the serving evaluator, the
+// compiled-plan VM (xpath/plan.h + xpath/vm.cc): every test here runs a
+// query through the VM and through the reference walk (EvaluateAtRoot,
+// xpath/evaluator.cc), which shares no code with it, and asserts the
+// same answer — identical NodeSets and status codes. Budgets may refuse
+// a query but never return a partial set. The fuzz companion is
+// fuzz/fuzz_plan_diff.cc.
 
 #include "xpath/plan.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +23,8 @@
 #include "xpath/parser.h"
 #include "xpath/profiler.h"
 
+#include "profiler_corpus.h"
+
 namespace secview {
 namespace {
 
@@ -28,7 +32,7 @@ using Bindings = std::vector<std::pair<std::string, std::string>>;
 
 /// A hospital instance with attributes, overlapping subtrees, and two
 /// departments, so unions, predicates, and descendant steps all have
-/// something to disagree about if either interpreter is wrong.
+/// something to disagree about if the VM is wrong.
 constexpr char kHostileDoc[] = R"(
   <hospital>
     <dept id="1">
@@ -57,8 +61,8 @@ constexpr char kHostileDoc[] = R"(
   </hospital>
 )";
 
-/// The 27-case hostile corpus: one query per way the two interpreters
-/// could diverge — repeated descendant closures, overlapping unions,
+/// The 27-case hostile corpus: one query per way the VM could diverge
+/// from the reference — repeated descendant closures, overlapping unions,
 /// nested and boolean qualifiers, attribute tests, $parameters, absent
 /// labels, and identity steps.
 const std::vector<std::string>& HostileCorpus() {
@@ -96,32 +100,6 @@ const std::vector<std::string>& HostileCorpus() {
   return *corpus;
 }
 
-/// The 17-query corpus of tests/profiler_test.cc (kept in sync by hand;
-/// one query per evaluator dispatch arm).
-const std::vector<std::string>& ProfilerCorpus() {
-  static const std::vector<std::string>* corpus =
-      new std::vector<std::string>{
-          "dept",
-          "dept/patientInfo/patient",
-          "dept/patientInfo/patient/name",
-          "//patient",
-          "//patient/name",
-          "//bill",
-          "dept//bill",
-          "*/*",
-          "//patient[wardNo = \"3\"]",
-          "//patient[wardNo = \"3\"]/name",
-          "//patient[treatment/regular]",
-          "//patient[wardNo = \"3\" and treatment/regular]/name",
-          "//patient[wardNo = \"9\" or name]",
-          "//bill | //medication",
-          "dept/patientInfo/patient | //nurse",
-          ".",
-          "dept/.",
-      };
-  return *corpus;
-}
-
 XmlTree MustParseDoc(const char* text) {
   auto doc = ParseXml(text);
   EXPECT_TRUE(doc.ok()) << doc.status();
@@ -143,59 +121,44 @@ XmlTree MakeDeepChain(int depth) {
   return tree;
 }
 
-/// Everything one evaluation produced, for exact comparison.
-struct DiffRun {
+/// What one evaluation answered.
+struct Answer {
   Status status = Status::OK();
   NodeSet nodes;
-  EvalCounters counters;
 };
 
-void ExpectSameRun(const DiffRun& ast, const DiffRun& compiled,
-                   const std::string& context) {
-  EXPECT_EQ(ast.status.code(), compiled.status.code()) << context;
-  EXPECT_EQ(ast.status.message(), compiled.status.message()) << context;
-  EXPECT_EQ(ast.nodes, compiled.nodes) << context;
-  EXPECT_EQ(ast.counters.nodes_touched, compiled.counters.nodes_touched)
-      << context;
-  EXPECT_EQ(ast.counters.predicate_evals, compiled.counters.predicate_evals)
-      << context;
-  EXPECT_EQ(ast.counters.index_scans, compiled.counters.index_scans)
-      << context;
-  EXPECT_EQ(ast.counters.sort_skips, compiled.counters.sort_skips) << context;
-  EXPECT_EQ(ast.counters.budget_checks, compiled.counters.budget_checks)
-      << context;
+void ExpectSameAnswer(const Answer& reference, const Answer& vm,
+                      const std::string& context) {
+  EXPECT_EQ(reference.status.code(), vm.status.code())
+      << context << ": " << reference.status << " vs " << vm.status;
+  EXPECT_EQ(reference.nodes, vm.nodes) << context;
 }
 
-DiffRun RunAst(const XmlTree& doc, const LabelIndex* index, const PathPtr& p,
-               const Bindings& bindings, const BudgetLimits& limits = {},
-               CancelToken cancel = CancelToken()) {
-  XPathEvaluator evaluator =
-      index != nullptr ? XPathEvaluator(doc, index) : XPathEvaluator(doc);
-  QueryBudget budget(limits, cancel);
-  if (budget.active()) evaluator.set_budget(&budget);
-  PathPtr bound = bindings.empty() ? p : BindParams(p, bindings);
-  auto result = evaluator.Evaluate(bound, doc.root());
-  DiffRun run;
-  run.status = result.status();
-  if (result.ok()) run.nodes = std::move(result).value();
-  run.counters = evaluator.counters();
-  return run;
+/// The reference answer. Bindings are applied with BindParams; without
+/// any, `p` is evaluated as given (unbound $parameters must fail).
+Answer RunReference(const XmlTree& doc, const PathPtr& p,
+                    const Bindings& bindings) {
+  auto result =
+      EvaluateAtRoot(doc, bindings.empty() ? p : BindParams(p, bindings));
+  Answer answer;
+  answer.status = result.status();
+  if (result.ok()) answer.nodes = std::move(result).value();
+  return answer;
 }
 
-DiffRun RunCompiled(const XmlTree& doc, const LabelIndex* index,
-                    const CompiledPlan& plan, const Bindings& bindings,
-                    const BudgetLimits& limits = {},
-                    CancelToken cancel = CancelToken()) {
+Answer RunVm(const XmlTree& doc, const LabelIndex* index,
+             const CompiledPlan& plan, const Bindings& bindings,
+             const BudgetLimits& limits = {},
+             CancelToken cancel = CancelToken()) {
   XPathEvaluator evaluator =
       index != nullptr ? XPathEvaluator(doc, index) : XPathEvaluator(doc);
   QueryBudget budget(limits, cancel);
   if (budget.active()) evaluator.set_budget(&budget);
   auto result = evaluator.EvaluateCompiled(plan, doc.root(), bindings);
-  DiffRun run;
-  run.status = result.status();
-  if (result.ok()) run.nodes = std::move(result).value();
-  run.counters = evaluator.counters();
-  return run;
+  Answer answer;
+  answer.status = result.status();
+  if (result.ok()) answer.nodes = std::move(result).value();
+  return answer;
 }
 
 void DiffCorpus(const XmlTree& doc, const std::vector<std::string>& corpus,
@@ -204,8 +167,9 @@ void DiffCorpus(const XmlTree& doc, const std::vector<std::string>& corpus,
     PathPtr p = MustParsePath(text);
     auto plan = CompilePlan(p);
     ASSERT_NE(plan, nullptr) << text;
-    ExpectSameRun(RunAst(doc, nullptr, p, bindings),
-                  RunCompiled(doc, nullptr, *plan, bindings), text);
+    Answer reference = RunReference(doc, p, bindings);
+    EXPECT_TRUE(reference.status.ok()) << text << ": " << reference.status;
+    ExpectSameAnswer(reference, RunVm(doc, nullptr, *plan, bindings), text);
   }
 }
 
@@ -221,23 +185,45 @@ TEST(PlanDifferentialTest, ProfilerCorpusMatchesAstWalk) {
   DiffCorpus(doc, ProfilerCorpus(), {});
 }
 
-TEST(PlanDifferentialTest, NodeBudgetsTripIdentically) {
-  // A 5000-deep chain: //a touches every node, nested //a qualifiers
+TEST(PlanDifferentialTest, NodeBudgetsRefuseOrMatchReference) {
+  // A 5000-deep chain. On //a[a//a[a//a]] nested //a qualifiers
   // re-touch subtrees, so every budget below exhausts mid-evaluation at
-  // a different op. Both paths must trip at the same checkpoint with
-  // the same status and the same counter totals.
+  // a different op; //a//a[a] finishes under the larger budgets. Each
+  // run either refuses the whole query with the budget's status or
+  // returns exactly the unbudgeted reference answer (computed only when
+  // needed: the first query's full answer costs O(depth^4) visits).
   XmlTree doc = MakeDeepChain(5000);
-  PathPtr p = MustParsePath("//a[a//a[a//a]]");
-  auto plan = CompilePlan(p);
-  ASSERT_NE(plan, nullptr);
-  for (uint64_t max_nodes : {1ull, 1000ull, 2048ull, 5000ull, 20000ull,
-                             100000ull, 100000000ull}) {
-    BudgetLimits limits;
-    limits.max_nodes = max_nodes;
-    ExpectSameRun(RunAst(doc, nullptr, p, {}, limits),
-                  RunCompiled(doc, nullptr, *plan, {}, limits),
-                  "max_nodes=" + std::to_string(max_nodes));
+  int refused = 0;
+  int answered = 0;
+  for (const char* text : {"//a[a//a[a//a]]", "//a//a[a]"}) {
+    PathPtr p = MustParsePath(text);
+    auto plan = CompilePlan(p);
+    ASSERT_NE(plan, nullptr) << text;
+    std::optional<Answer> reference;
+    for (uint64_t max_nodes : {1ull, 1000ull, 2048ull, 5000ull, 20000ull,
+                               100000ull, 100000000ull}) {
+      BudgetLimits limits;
+      limits.max_nodes = max_nodes;
+      const std::string context =
+          std::string(text) + " max_nodes=" + std::to_string(max_nodes);
+      Answer vm = RunVm(doc, nullptr, *plan, {}, limits);
+      if (!vm.status.ok()) {
+        EXPECT_EQ(vm.status.code(), StatusCode::kResourceExhausted)
+            << context << ": " << vm.status;
+        EXPECT_TRUE(vm.nodes.empty()) << context;
+        ++refused;
+        continue;
+      }
+      if (!reference.has_value()) {
+        reference = RunReference(doc, p, {});
+        ASSERT_TRUE(reference->status.ok()) << reference->status;
+      }
+      EXPECT_EQ(vm.nodes, reference->nodes) << context;
+      ++answered;
+    }
   }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(answered, 0);
 }
 
 TEST(PlanDifferentialTest, CancelledExecutionsMatch) {
@@ -248,13 +234,14 @@ TEST(PlanDifferentialTest, CancelledExecutionsMatch) {
   CancelSource source;
   CancelToken token(source);
   source.CancelAll();  // cancelled before evaluation starts
-  DiffRun ast = RunAst(doc, nullptr, p, {}, {}, token);
-  DiffRun compiled = RunCompiled(doc, nullptr, *plan, {}, {}, token);
-  ExpectSameRun(ast, compiled, "pre-cancelled token");
-  EXPECT_EQ(ast.status.code(), StatusCode::kCancelled);
+  Answer vm = RunVm(doc, nullptr, *plan, {}, {}, token);
+  EXPECT_EQ(vm.status.code(), StatusCode::kCancelled) << vm.status;
+  EXPECT_TRUE(vm.nodes.empty());
 }
 
-TEST(PlanDifferentialTest, IndexedPlansMatchIndexedAstWalk) {
+TEST(PlanDifferentialTest, IndexedPlansMatchReference) {
+  // The reference has no index: index-scan plans must return exactly
+  // what the plain walk returns.
   XmlTree doc = MustParseDoc(kHostileDoc);
   LabelIndex index(doc);
   PlanCompileOptions options;
@@ -267,8 +254,8 @@ TEST(PlanDifferentialTest, IndexedPlansMatchIndexedAstWalk) {
     auto plan = CompilePlan(p, options);
     ASSERT_NE(plan, nullptr) << text;
     EXPECT_TRUE(plan->uses_index) << text;
-    ExpectSameRun(RunAst(doc, &index, p, {{"w", "3"}}),
-                  RunCompiled(doc, &index, *plan, {{"w", "3"}}), text);
+    ExpectSameAnswer(RunReference(doc, p, {{"w", "3"}}),
+                     RunVm(doc, &index, *plan, {{"w", "3"}}), text);
   }
 }
 
@@ -292,16 +279,21 @@ TEST(PlanDifferentialTest, UnboundParameterStatusesMatch) {
   // No bindings at all, and bindings that miss the parameter.
   for (const Bindings& bindings :
        {Bindings{}, Bindings{{"other", "1"}, {"x", "2"}}}) {
-    DiffRun ast = RunAst(doc, nullptr, p, bindings);
-    DiffRun compiled = RunCompiled(doc, nullptr, *plan, bindings);
-    ExpectSameRun(ast, compiled, "unbound $w");
-    EXPECT_EQ(ast.status.code(), StatusCode::kFailedPrecondition);
+    Answer reference = RunReference(doc, p, bindings);
+    Answer vm = RunVm(doc, nullptr, *plan, bindings);
+    ExpectSameAnswer(reference, vm, "unbound $w");
+    EXPECT_EQ(reference.status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(vm.status.code(), StatusCode::kFailedPrecondition);
   }
   // First-match-wins binding resolution, same as BindParams.
-  ExpectSameRun(
-      RunAst(doc, nullptr, p, {{"w", "3"}, {"w", "999"}}),
-      RunCompiled(doc, nullptr, *plan, {{"w", "3"}, {"w", "999"}}),
-      "duplicate bindings");
+  const Bindings duplicate = {{"w", "3"}, {"w", "999"}};
+  Answer first = RunReference(doc, p, {{"w", "3"}});
+  ASSERT_TRUE(first.status.ok()) << first.status;
+  ASSERT_FALSE(first.nodes.empty());
+  ExpectSameAnswer(first, RunReference(doc, p, duplicate),
+                   "reference, duplicate bindings");
+  ExpectSameAnswer(first, RunVm(doc, nullptr, *plan, duplicate),
+                   "duplicate bindings");
 }
 
 TEST(PlanDifferentialTest, CompiledProfilesKeepSumInvariant) {

@@ -12,6 +12,8 @@
 #include "xpath/parser.h"
 #include "xpath/plan.h"
 
+#include "profiler_corpus.h"
+
 namespace secview {
 namespace {
 
@@ -36,32 +38,6 @@ constexpr char kDoc[] = R"(
   </hospital>
 )";
 
-/// The query corpus every attribution test runs: child chains, both
-/// descendant shapes, wildcards, unions, and predicates (path, equality,
-/// boolean connectives) — one query per evaluator dispatch arm.
-const std::vector<std::string>& Corpus() {
-  static const std::vector<std::string>* corpus = new std::vector<std::string>{
-      "dept",
-      "dept/patientInfo/patient",
-      "dept/patientInfo/patient/name",
-      "//patient",
-      "//patient/name",
-      "//bill",
-      "dept//bill",
-      "*/*",
-      "//patient[wardNo = \"3\"]",
-      "//patient[wardNo = \"3\"]/name",
-      "//patient[treatment/regular]",
-      "//patient[wardNo = \"3\" and treatment/regular]/name",
-      "//patient[wardNo = \"9\" or name]",
-      "//bill | //medication",
-      "dept/patientInfo/patient | //nurse",
-      ".",
-      "dept/.",
-  };
-  return *corpus;
-}
-
 XmlTree MustParseDoc() {
   auto doc = ParseXml(kDoc);
   EXPECT_TRUE(doc.ok()) << doc.status();
@@ -76,7 +52,7 @@ PathPtr MustParsePath(const std::string& text) {
 
 TEST(PlanProfilerTest, PerStepCostsSumToAggregateCounters) {
   XmlTree doc = MustParseDoc();
-  for (const std::string& text : Corpus()) {
+  for (const std::string& text : ProfilerCorpus()) {
     PathPtr p = MustParsePath(text);
     XPathEvaluator evaluator(doc);
     PlanProfiler profiler;
@@ -95,7 +71,7 @@ TEST(PlanProfilerTest, PerStepCostsSumToAggregateCounters) {
 
 TEST(PlanProfilerTest, ProfiledAndUnprofiledRunsAgreeOnResults) {
   XmlTree doc = MustParseDoc();
-  for (const std::string& text : Corpus()) {
+  for (const std::string& text : ProfilerCorpus()) {
     PathPtr p = MustParsePath(text);
     XPathEvaluator plain(doc);
     auto expected = plain.Evaluate(p, doc.root());
@@ -114,10 +90,10 @@ TEST(PlanProfilerTest, ProfiledAndUnprofiledRunsAgreeOnResults) {
 }
 
 TEST(PlanProfilerTest, CompiledPathKeepsSumInvariant) {
-  // The same invariant on the compiled-plan VM (xpath/vm.cc): per-step
-  // self sums must equal the aggregate counters on that path too.
+  // The same invariant through EvaluateCompiled on a plan compiled
+  // once up front, the way the engine runs its cached plans.
   XmlTree doc = MustParseDoc();
-  for (const std::string& text : Corpus()) {
+  for (const std::string& text : ProfilerCorpus()) {
     PathPtr p = MustParsePath(text);
     auto plan = CompilePlan(p);
     ASSERT_NE(plan, nullptr) << text;
@@ -133,44 +109,6 @@ TEST(PlanProfilerTest, CompiledPathKeepsSumInvariant) {
     EXPECT_EQ(totals.predicate_evals, agg.predicate_evals) << text;
     EXPECT_EQ(totals.index_scans, agg.index_scans) << text;
     EXPECT_EQ(totals.sort_skips, agg.sort_skips) << text;
-  }
-}
-
-TEST(PlanProfilerTest, CompiledAndAstProfilesAgree) {
-  // Both interpreters must attribute identical costs to identical step
-  // signatures: flatten each profile and compare signature-keyed rows.
-  XmlTree doc = MustParseDoc();
-  for (const std::string& text : Corpus()) {
-    PathPtr p = MustParsePath(text);
-
-    XPathEvaluator ast_eval(doc);
-    PlanProfiler ast_profiler;
-    ast_eval.set_profiler(&ast_profiler);
-    auto ast_result = ast_eval.Evaluate(p, doc.root());
-    ASSERT_TRUE(ast_result.ok()) << text;
-
-    auto plan = CompilePlan(p);
-    ASSERT_NE(plan, nullptr) << text;
-    XPathEvaluator vm_eval(doc);
-    PlanProfiler vm_profiler;
-    vm_eval.set_profiler(&vm_profiler);
-    auto vm_result = vm_eval.EvaluateCompiled(*plan, doc.root());
-    ASSERT_TRUE(vm_result.ok()) << text;
-
-    EXPECT_EQ(*vm_result, *ast_result) << text;
-    std::vector<obs::PlanStepRecord> ast_rows =
-        FlattenStepProfile(ast_profiler.root());
-    std::vector<obs::PlanStepRecord> vm_rows =
-        FlattenStepProfile(vm_profiler.root());
-    ASSERT_EQ(ast_rows.size(), vm_rows.size()) << text;
-    for (size_t i = 0; i < ast_rows.size(); ++i) {
-      EXPECT_EQ(ast_rows[i].signature, vm_rows[i].signature) << text;
-      EXPECT_EQ(ast_rows[i].invocations, vm_rows[i].invocations) << text;
-      EXPECT_EQ(ast_rows[i].nodes_touched, vm_rows[i].nodes_touched) << text;
-      EXPECT_EQ(ast_rows[i].in_cardinality, vm_rows[i].in_cardinality) << text;
-      EXPECT_EQ(ast_rows[i].out_cardinality, vm_rows[i].out_cardinality)
-          << text;
-    }
   }
 }
 
@@ -327,7 +265,7 @@ TEST(PlanProfileTableTest, RecordsMergeAndRankBySelfNodes) {
 
 TEST(PlanProfilerTest, ProfileLineJsonRoundTripsThroughValidator) {
   XmlTree doc = MustParseDoc();
-  for (const std::string& text : Corpus()) {
+  for (const std::string& text : ProfilerCorpus()) {
     PathPtr p = MustParsePath(text);
     XPathEvaluator evaluator(doc);
     PlanProfiler profiler;
