@@ -22,6 +22,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 # hostile-input regression is called out by name in the gate output.
 "$BUILD_DIR"/tests/hardening_test
 
+# Likewise the optimizer suite: its golden hashes pin every optimizer
+# decision, and its deep-chain case runs the containment test 2048
+# levels deep under ASan.
+"$BUILD_DIR"/tests/optimize_test
+
 scripts/audit_smoke.sh "$BUILD_DIR"
 
 # Live-telemetry smoke: `serve` on an ephemeral port, all four endpoints

@@ -10,7 +10,9 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "common/budget.h"
@@ -229,17 +231,38 @@ struct Args {
   std::vector<std::pair<std::string, std::string>> bindings;
 };
 
+/// Flags that stand alone.
+constexpr std::string_view kSwitches[] = {
+    "--show-sigma", "--no-optimize", "--extract", "--stats", "--json",
+    "--validate-prom", "--chrome", "--validate", "--profile", "--collapsed",
+};
+
+/// Flags that take the next argument as their value. Any other `--flag`
+/// is a usage error, so a misspelt or retired flag never swallows the
+/// argument after it.
+constexpr std::string_view kValuedFlags[] = {
+    "--addr", "--audit-log", "--audit-max-bytes", "--branch", "--bytes",
+    "--deadline-ms", "--dtd", "--failpoints", "--heap-sample", "--height",
+    "--in", "--k", "--log", "--max-nodes", "--max-parse-depth", "--max-seconds",
+    "--metrics-prom", "--metrics-snapshot-dir", "--out", "--path", "--port",
+    "--port-file", "--profile-json", "--queries", "--query", "--queue-cap",
+    "--repeat", "--replay-delay-ms", "--retries", "--seed",
+    "--slow-query-micros", "--spec", "--telemetry-addr", "--threads",
+    "--timeout-ms", "--trace-capacity", "--trace-json", "--trace-sample",
+    "--view", "--xml",
+};
+
+bool IsOneOf(std::string_view arg, std::span<const std::string_view> list) {
+  return std::find(list.begin(), list.end(), arg) != list.end();
+}
+
 Result<Args> ParseArgs(const std::vector<std::string>& argv) {
   Args args;
   if (argv.empty()) return Status::InvalidArgument("missing command");
   args.command = argv[0];
   for (size_t i = 1; i < argv.size(); ++i) {
     const std::string& arg = argv[i];
-    if (arg == "--show-sigma" || arg == "--no-optimize" ||
-        arg == "--extract" || arg == "--stats" || arg == "--json" ||
-        arg == "--validate-prom" || arg == "--chrome" ||
-        arg == "--validate" || arg == "--profile" ||
-        arg == "--collapsed") {
+    if (IsOneOf(arg, kSwitches)) {
       args.switches[arg] = true;
       continue;
     }
@@ -256,12 +279,15 @@ Result<Args> ParseArgs(const std::vector<std::string>& argv) {
       args.bindings.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
       continue;
     }
-    if (arg.rfind("--", 0) == 0) {
+    if (IsOneOf(arg, kValuedFlags)) {
       if (i + 1 >= argv.size()) {
         return Status::InvalidArgument(arg + " needs a value");
       }
       args.values[arg] = argv[++i];
       continue;
+    }
+    if (arg.rfind("--", 0) == 0) {
+      return Status::InvalidArgument("unknown flag '" + arg + "'");
     }
     return Status::InvalidArgument("unexpected argument '" + arg + "'");
   }

@@ -130,7 +130,7 @@ int Dtd::Size() const {
 }
 
 TypeId Dtd::FindType(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   return it == ids_.end() ? kNullType : it->second;
 }
 
@@ -145,8 +145,10 @@ std::vector<TypeId> Dtd::ChildTypes(TypeId id) const {
 }
 
 bool Dtd::HasChild(TypeId parent, TypeId child) const {
+  if (child < 0 || child >= NumTypes()) return false;
+  // Names are unique, so comparing them needs no lookup.
   for (const std::string& name : contents_[parent].types()) {
-    if (FindType(name) == child) return true;
+    if (name == names_[child]) return true;
   }
   return false;
 }

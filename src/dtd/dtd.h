@@ -1,6 +1,7 @@
 #ifndef SECVIEW_DTD_DTD_H_
 #define SECVIEW_DTD_DTD_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -118,7 +119,14 @@ class Dtd {
   std::vector<ContentModel> contents_;
   std::vector<std::vector<AttributeDef>> attributes_;
   std::vector<bool> auxiliary_;
-  std::unordered_map<std::string, TypeId> ids_;
+  /// Transparent hashing, so FindType looks a name up without copying it.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>()(name);
+    }
+  };
+  std::unordered_map<std::string, TypeId, NameHash, std::equal_to<>> ids_;
 };
 
 }  // namespace secview

@@ -126,18 +126,17 @@ void DtdGraph::ComputeReachability() {
       }
     }
   }
+  desc_or_self_.resize(n);
+  for (TypeId v = 0; v < n; ++v) {
+    desc_or_self_[v].push_back(v);
+    for (TypeId u = 0; u < n; ++u) {
+      if (u != v && reach_[v][u]) desc_or_self_[v].push_back(u);
+    }
+  }
 }
 
 bool DtdGraph::ReachableStrict(TypeId from, TypeId to) const {
   return reach_[from][to];
-}
-
-std::vector<TypeId> DtdGraph::DescendantsOrSelf(TypeId from) const {
-  std::vector<TypeId> out{from};
-  for (TypeId v = 0; v < dtd_->NumTypes(); ++v) {
-    if (v != from && reach_[from][v]) out.push_back(v);
-  }
-  return out;
 }
 
 std::vector<TypeId> DtdGraph::UnreachableFromRoot() const {

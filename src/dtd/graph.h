@@ -44,8 +44,11 @@ class DtdGraph {
     return from == to || ReachableStrict(from, to);
   }
 
-  /// All types reachable from `from` including `from` itself, in BFS order.
-  std::vector<TypeId> DescendantsOrSelf(TypeId from) const;
+  /// All types reachable from `from`: `from` itself first, then the
+  /// others in id order.
+  const std::vector<TypeId>& DescendantsOrSelf(TypeId from) const {
+    return desc_or_self_[from];
+  }
 
   /// Types unreachable from the root (dead element types).
   std::vector<TypeId> UnreachableFromRoot() const;
@@ -67,6 +70,7 @@ class DtdGraph {
   // reach_[a] is a bitset (as vector<bool>) of types reachable from a via
   // one or more edges.
   std::vector<std::vector<bool>> reach_;
+  std::vector<std::vector<TypeId>> desc_or_self_;
 };
 
 }  // namespace secview

@@ -1,9 +1,11 @@
 #include "optimize/image_graph.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace secview {
 
@@ -11,67 +13,93 @@ namespace {
 
 /// Type-level reachability of a path over the DTD graph, ignoring
 /// qualifiers (image emptiness only depends on reachable structure).
+/// Memoized per (sub-path, type): the paths asked about must outlive the
+/// object, which is why one lives only as long as one image build.
 class TypeReach {
  public:
   explicit TypeReach(const DtdGraph& graph) : graph_(graph) {}
 
-  std::vector<TypeId> Reach(const PathPtr& p, TypeId t) {
-    std::vector<TypeId> out;
-    std::unordered_set<TypeId> seen;
-    auto add = [&](TypeId x) {
-      if (seen.insert(x).second) out.push_back(x);
-    };
-    switch (p->kind) {
+  /// The types reached from `t` via `p`, sorted and distinct.
+  const std::vector<TypeId>& Reach(const PathExpr& p, TypeId t) {
+    auto [it, inserted] = memo_.try_emplace({&p, t});
+    // References into the map stay valid while the recursion below
+    // inserts more entries.
+    std::vector<TypeId>& out = it->second;
+    if (!inserted) return out;
+    switch (p.kind) {
       case PathKind::kEmptySet:
         break;
       case PathKind::kEpsilon:
-        add(t);
+        out.push_back(t);
         break;
       case PathKind::kLabel: {
-        TypeId c = graph_.dtd().FindType(p->label);
-        if (c != kNullType && graph_.dtd().HasChild(t, c)) add(c);
+        TypeId c = graph_.dtd().FindType(p.label);
+        if (c != kNullType && graph_.dtd().HasChild(t, c)) out.push_back(c);
         break;
       }
       case PathKind::kWildcard:
-        for (TypeId c : graph_.Children(t)) add(c);
+        out = graph_.Children(t);
         break;
       case PathKind::kSlash:
-        for (TypeId m : Reach(p->left, t)) {
-          for (TypeId c : Reach(p->right, m)) add(c);
+        for (TypeId m : Reach(*p.left, t)) {
+          const std::vector<TypeId>& right = Reach(*p.right, m);
+          out.insert(out.end(), right.begin(), right.end());
         }
         break;
       case PathKind::kDescOrSelf:
         for (TypeId b : graph_.DescendantsOrSelf(t)) {
-          for (TypeId c : Reach(p->left, b)) add(c);
+          const std::vector<TypeId>& inner = Reach(*p.left, b);
+          out.insert(out.end(), inner.begin(), inner.end());
         }
         break;
-      case PathKind::kUnion:
-        for (TypeId c : Reach(p->left, t)) add(c);
-        for (TypeId c : Reach(p->right, t)) add(c);
+      case PathKind::kUnion: {
+        const std::vector<TypeId>& left = Reach(*p.left, t);
+        const std::vector<TypeId>& right = Reach(*p.right, t);
+        out.insert(out.end(), left.begin(), left.end());
+        out.insert(out.end(), right.begin(), right.end());
         break;
+      }
       case PathKind::kQualified:
         // Qualifiers do not affect structural reachability (a constant
         // false qualifier is folded upstream).
-        for (TypeId c : Reach(p->left, t)) add(c);
+        out = Reach(*p.left, t);
         break;
     }
     std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
 
  private:
+  struct KeyHash {
+    size_t operator()(const std::pair<const PathExpr*, TypeId>& key) const {
+      return std::hash<const PathExpr*>()(key.first) * 31 +
+             static_cast<size_t>(key.second);
+    }
+  };
+
   const DtdGraph& graph_;
+  std::unordered_map<std::pair<const PathExpr*, TypeId>, std::vector<TypeId>,
+                     KeyHash>
+      memo_;
 };
 
+/// Builds one image graph. Frontier lists live in scratch vectors that
+/// are recycled for the whole build instead of being allocated per step.
 class Builder {
  public:
   explicit Builder(const DtdGraph& graph)
-      : graph_(graph), dtd_(graph.dtd()), type_reach_(graph) {}
+      : graph_(graph), type_reach_(graph) {
+    // Room for a typical image (the nurse policy's random queries
+    // average 27 nodes) without regrowing.
+    g_.nodes.reserve(32);
+    epochs_.reserve(32);
+  }
 
   ImageGraph BuildPath(const PathPtr& p, TypeId a) {
     int root = NewNode(a);
     g_.root = root;
-    g_.frontier = Build(p, {root});
+    Build(*p, {&root, 1}, g_.frontier);
     if (g_.frontier.empty()) {
       // p reaches nothing from A: the image is empty.
       g_ = ImageGraph{};
@@ -86,7 +114,7 @@ class Builder {
     // qualifier implication directly (the '[]' direction flip).
     int root = NewNode(a);
     g_.root = root;
-    AttachQual(q, root);
+    AttachQual(*q, root);
     g_.frontier.clear();
     return std::move(g_);
   }
@@ -114,91 +142,133 @@ class Builder {
     return child;
   }
 
-  /// Builds the image of `p` starting from the given graph nodes; returns
-  /// the frontier (deduplicated, order of first reach).
-  std::vector<int> Build(const PathPtr& p, const std::vector<int>& ctx) {
-    std::vector<int> out;
-    std::unordered_set<int> seen;
-    auto add = [&](int n) {
-      if (seen.insert(n).second) out.push_back(n);
-    };
-    switch (p->kind) {
+  /// A cleared vector from the recycled pool.
+  std::vector<int> Acquire() {
+    if (pool_.empty()) return {};
+    std::vector<int> v = std::move(pool_.back());
+    pool_.pop_back();
+    v.clear();
+    return v;
+  }
+
+  void Release(std::vector<int> v) { pool_.push_back(std::move(v)); }
+
+  /// Drops repeats from out[start..], keeping first occurrences in order.
+  void Dedup(std::vector<int>& out, size_t start) {
+    if (out.size() - start < 2) return;
+    seen_.resize(g_.nodes.size(), 0);
+    ++stamp_;
+    size_t kept = start;
+    for (size_t k = start; k < out.size(); ++k) {
+      int n = out[k];
+      if (seen_[n] == stamp_) continue;
+      seen_[n] = stamp_;
+      out[kept++] = n;
+    }
+    out.resize(kept);
+  }
+
+  /// Builds the image of `p` starting from the graph nodes `ctx` and
+  /// appends its frontier to `out` (deduplicated, order of first reach).
+  /// `ctx` must not point into `out`.
+  void Build(const PathExpr& p, std::span<const int> ctx,
+             std::vector<int>& out) {
+    const size_t start = out.size();
+    switch (p.kind) {
       case PathKind::kEmptySet:
         break;
       case PathKind::kEpsilon:
-        for (int n : ctx) add(n);
+        out.insert(out.end(), ctx.begin(), ctx.end());
         break;
       case PathKind::kLabel: {
-        TypeId c = dtd_.FindType(p->label);
+        TypeId c = graph_.dtd().FindType(p.label);
         if (c == kNullType) break;
         for (int n : ctx) {
-          if (dtd_.HasChild(g_.nodes[n].label, c)) add(GetChild(n, c));
+          if (graph_.dtd().HasChild(g_.nodes[n].label, c)) {
+            out.push_back(GetChild(n, c));
+          }
         }
         break;
       }
       case PathKind::kWildcard:
         for (int n : ctx) {
           for (TypeId c : graph_.Children(g_.nodes[n].label)) {
-            add(GetChild(n, c));
+            out.push_back(GetChild(n, c));
           }
         }
         break;
       case PathKind::kSlash: {
-        std::vector<int> mid = Build(p->left, ctx);
-        for (int n : Build(p->right, mid)) add(n);
-        break;
-      }
-      case PathKind::kDescOrSelf: {
-        for (int n : ctx) {
-          for (int b : BuildDescLayer(n, p->left)) add(b);
+        // ((s1/s2)/...)/sk is built step by step along its left spine,
+        // so a long label path does not recurse once per step.
+        const size_t base = spine_.size();
+        const PathExpr* first = &p;
+        while (first->kind == PathKind::kSlash) {
+          spine_.push_back(first->right.get());  // sk, ..., s2
+          first = first->left.get();
         }
+        std::vector<int> cur = Acquire();
+        Build(*first, ctx, cur);
+        for (size_t k = spine_.size() - 1; k > base; --k) {
+          std::vector<int> next = Acquire();
+          Build(*spine_[k], cur, next);
+          Release(std::move(cur));
+          cur = std::move(next);
+        }
+        Build(*spine_[base], cur, out);
+        Release(std::move(cur));
+        spine_.resize(base);
         break;
       }
+      case PathKind::kDescOrSelf:
+        for (int n : ctx) BuildDescLayer(n, *p.left, out);
+        break;
       case PathKind::kUnion: {
         // Distinct epochs per branch: nodes from different branches are
         // never merged, so branch-local qualifiers stay branch-local.
         int saved = epoch_;
         epoch_ = ++epoch_counter_;
-        std::vector<int> left = Build(p->left, ctx);
+        Build(*p.left, ctx, out);
         epoch_ = ++epoch_counter_;
-        std::vector<int> right = Build(p->right, ctx);
+        Build(*p.right, ctx, out);
         epoch_ = saved;
-        for (int n : left) add(n);
-        for (int n : right) add(n);
         break;
       }
       case PathKind::kQualified: {
         // Normalized input has qualifiers on epsilon steps only, but a
         // general p[q] is handled by qualifying p's frontier.
-        std::vector<int> frontier = Build(p->left, ctx);
-        for (int n : frontier) {
-          AttachQual(p->qualifier, n);
-          add(n);
+        Build(*p.left, ctx, out);
+        for (size_t k = start; k < out.size(); ++k) {
+          AttachQual(*p.qualifier, out[k]);
         }
         break;
       }
     }
-    return out;
+    Dedup(out, start);
   }
 
   /// The '//' layer below node `n`: the sub-DAG of DTD types between
   /// n's type and every descendant-or-self B where `inner` reaches
-  /// something, followed by the image of `inner` grafted at those B's.
-  std::vector<int> BuildDescLayer(int n, const PathPtr& inner) {
-    TypeId t = g_.nodes[n].label;
+  /// something, followed by the image of `inner` grafted at those B's,
+  /// appended to `out`.
+  void BuildDescLayer(int n, const PathExpr& inner, std::vector<int>& out) {
+    const TypeId t = g_.nodes[n].label;
+    const std::vector<TypeId>& below = graph_.DescendantsOrSelf(t);
     // Relevant endpoints: B in descOrSelf(t) with non-empty inner image.
-    std::vector<TypeId> endpoints;
-    for (TypeId b : graph_.DescendantsOrSelf(t)) {
+    std::vector<int> endpoints = Acquire();
+    for (TypeId b : below) {
       if (!type_reach_.Reach(inner, b).empty()) endpoints.push_back(b);
     }
-    if (endpoints.empty()) return {};
+    if (endpoints.empty()) {
+      Release(std::move(endpoints));
+      return;
+    }
 
-    // Path subgraph: types on some path t ->* B.
-    std::unordered_set<TypeId> on_path;
-    for (TypeId x : graph_.DescendantsOrSelf(t)) {
+    // Path subgraph: types on some path t ->* B, t first.
+    std::vector<int> layer = Acquire();
+    for (TypeId x : below) {
       for (TypeId b : endpoints) {
         if (graph_.Reachable(x, b)) {
-          on_path.insert(x);
+          layer.push_back(x);
           break;
         }
       }
@@ -206,27 +276,27 @@ class Builder {
 
     // Instantiate one node per type in this layer (below n), wiring DTD
     // edges inside the subgraph. n itself represents type t.
-    std::unordered_map<TypeId, int> instance;
-    instance.emplace(t, n);
-    for (TypeId x : graph_.DescendantsOrSelf(t)) {
-      if (x != t && on_path.count(x)) instance.emplace(x, NewNode(x));
-    }
-    for (const auto& [x, node] : instance) {
+    if (instance_.empty()) instance_.assign(graph_.dtd().NumTypes(), -1);
+    for (TypeId x : layer) instance_[x] = x == t ? n : NewNode(x);
+    for (TypeId x : layer) {
+      std::vector<int>& children = g_.nodes[instance_[x]].children;
       for (TypeId c : graph_.Children(x)) {
-        auto it = instance.find(c);
-        if (it == instance.end()) continue;
-        auto& children = g_.nodes[node].children;
-        if (std::find(children.begin(), children.end(), it->second) ==
+        int child = instance_[c];
+        if (child == -1) continue;
+        if (std::find(children.begin(), children.end(), child) ==
             children.end()) {
-          children.push_back(it->second);
+          children.push_back(child);
         }
       }
     }
 
-    std::vector<int> ctx;
-    ctx.reserve(endpoints.size());
-    for (TypeId b : endpoints) ctx.push_back(instance.at(b));
-    return Build(inner, ctx);
+    // The endpoints' instances are the context of `inner`. Clear the
+    // instance table first: `inner` may open '//' layers of its own.
+    for (int& b : endpoints) b = instance_[b];
+    for (TypeId x : layer) instance_[x] = -1;
+    Release(std::move(layer));
+    Build(inner, endpoints, out);
+    Release(std::move(endpoints));
   }
 
   /// Attaches the qualifier structure to node `n` as '[]' children, one
@@ -234,13 +304,13 @@ class Builder {
   /// they are folded upstream where possible and otherwise skipped, which
   /// is conservative for the G2 (container) side and marks the graph
   /// imprecise for the G1 side via `has_opaque_qual`.
-  void AttachQual(const QualPtr& q, int n) {
+  void AttachQual(const Qualifier& q, int n) {
     if (epochs_[n] != epoch_ && !g_.nodes[n].qual_children.empty()) {
       // Attaching to a node shared with another union branch would turn
       // branch-disjoint qualifiers into a conjunction.
       g_.imprecise = true;
     }
-    switch (q->kind) {
+    switch (q.kind) {
       case QualKind::kTrue:
         return;
       case QualKind::kFalse:
@@ -248,8 +318,8 @@ class Builder {
         g_.imprecise = true;
         return;
       case QualKind::kAnd:
-        AttachQual(q->left, n);
-        AttachQual(q->right, n);
+        AttachQual(*q.left, n);
+        AttachQual(*q.right, n);
         return;
       case QualKind::kPath:
       case QualKind::kPathEqConst: {
@@ -259,10 +329,12 @@ class Builder {
         // simulation); is_qual distinguishes it from ordinary nodes.
         int qual = NewNode(g_.nodes[n].label);
         g_.nodes[qual].is_qual = true;
-        if (q->kind == QualKind::kPathEqConst) {
-          g_.nodes[qual].tag = (q->is_param ? "$" : "=") + q->constant;
+        if (q.kind == QualKind::kPathEqConst) {
+          g_.nodes[qual].tag = (q.is_param ? "$" : "=") + q.constant;
         }
-        Build(q->path, {qual});
+        std::vector<int> frontier = Acquire();
+        Build(*q.path, {&qual, 1}, frontier);
+        Release(std::move(frontier));
         g_.nodes[n].qual_children.push_back(qual);
         return;
       }
@@ -277,19 +349,23 @@ class Builder {
   }
 
   const DtdGraph& graph_;
-  const Dtd& dtd_;
   TypeReach type_reach_;
   ImageGraph g_;
   std::vector<int> epochs_;
   int epoch_ = 0;
   int epoch_counter_ = 0;
+  std::vector<std::vector<int>> pool_;  // recycled frontier vectors
+  std::vector<const PathExpr*> spine_;  // kSlash: right steps, reversed
+  std::vector<uint32_t> seen_;          // Dedup marks, by node
+  uint32_t stamp_ = 0;
+  std::vector<int> instance_;  // BuildDescLayer: type -> node, else -1
 };
 
 }  // namespace
 
 std::vector<TypeId> TypeLevelReach(const DtdGraph& graph, const PathPtr& p,
                                    TypeId t) {
-  return TypeReach(graph).Reach(p, t);
+  return TypeReach(graph).Reach(*p, t);
 }
 
 ImageGraph BuildImageGraph(const DtdGraph& graph, const PathPtr& p, TypeId a) {

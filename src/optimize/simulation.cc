@@ -1,20 +1,11 @@
 #include "optimize/simulation.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace secview {
 
 namespace {
-
-/// The two mutually-recursive relations: fwd[i][j] — node i of ga is
-/// simulated by node j of gb; rev[j][i] — node j of gb is simulated by
-/// node i of ga (needed because '[]' children flip direction).
-struct SimState {
-  const ImageGraph* g1;
-  const ImageGraph* g2;
-  std::vector<std::vector<bool>> fwd;  // g1 node simulated by g2 node
-  std::vector<std::vector<bool>> rev;  // g2 node simulated by g1 node
-};
 
 /// Can node `a` be simulated by node `b`? Labels and kinds must agree.
 /// For '[]' nodes, simu(a, b) witnesses "b's constraint implies a's", so
@@ -29,59 +20,69 @@ bool LabelsCompatible(const ImageGraph::Node& a, const ImageGraph::Node& b) {
   return true;
 }
 
-/// One refinement pass over `rel` (nodes of `ga` simulated by nodes of
-/// `gb`, with `coRel` the opposite direction). Returns true if any entry
-/// was cleared.
-bool Refine(const ImageGraph& ga, const ImageGraph& gb,
-            std::vector<std::vector<bool>>& rel,
-            std::vector<std::vector<bool>>& co_rel) {
-  bool changed = false;
-  for (int i = 0; i < ga.size(); ++i) {
-    for (int j = 0; j < gb.size(); ++j) {
-      if (!rel[i][j]) continue;
-      const ImageGraph::Node& a = ga.nodes[i];
-      const ImageGraph::Node& b = gb.nodes[j];
-      bool ok = true;
-      // (2) every ordinary child of a must be simulated by some child
-      // of b.
-      for (int x : a.children) {
-        bool found = false;
-        for (int y : b.children) {
-          if (rel[x][y]) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          ok = false;
+/// The two mutually-recursive relations, evaluated on demand from the
+/// root pair: fwd — a node of g1 simulated by a node of g2; rev — a node
+/// of g2 simulated by a node of g1 (needed because '[]' children flip
+/// direction). Each pair's verdict is computed at most once and kept in
+/// one flat array: fwd(i, j) at i*n2 + j, rev(j, i) at n1*n2 + j*n1 + i.
+class Simulation {
+ public:
+  Simulation(const ImageGraph& g1, const ImageGraph& g2)
+      : g1_(g1),
+        g2_(g2),
+        verdicts_(2 * static_cast<size_t>(g1.size()) * g2.size(), kOpen) {}
+
+  /// Is node `a` simulated by node `b`? With `forward`, `a` is a node of
+  /// g1 and `b` one of g2; otherwise the roles are swapped.
+  bool Simulated(bool forward, int a, int b) {
+    const ImageGraph& ga = forward ? g1_ : g2_;
+    const ImageGraph& gb = forward ? g2_ : g1_;
+    const size_t n1 = g1_.nodes.size();
+    const size_t n2 = g2_.nodes.size();
+    uint8_t& verdict =
+        verdicts_[forward ? a * n2 + b : n1 * n2 + a * n1 + b];
+    if (verdict != kOpen) return verdict == kTrue;
+    // Until this pair is decided, a cycle back to it reads "not proven".
+    verdict = kFalse;
+    const ImageGraph::Node& na = ga.nodes[a];
+    const ImageGraph::Node& nb = gb.nodes[b];
+    if (!LabelsCompatible(na, nb)) return false;
+    // (2) every ordinary child of a must be simulated by some child of b.
+    for (int x : na.children) {
+      bool found = false;
+      for (int y : nb.children) {
+        if (Simulated(forward, x, y)) {
+          found = true;
           break;
         }
       }
-      // (3) every '[]' child of b must be simulated (direction flipped)
-      // by some '[]' child of a.
-      if (ok) {
-        for (int y : b.qual_children) {
-          bool found = false;
-          for (int x : a.qual_children) {
-            if (co_rel[y][x]) {
-              found = true;
-              break;
-            }
-          }
-          if (!found) {
-            ok = false;
-            break;
-          }
+      if (!found) return false;
+    }
+    // (3) every '[]' child of b must be simulated (direction flipped) by
+    // some '[]' child of a.
+    for (int y : nb.qual_children) {
+      bool found = false;
+      for (int x : na.qual_children) {
+        if (Simulated(!forward, y, x)) {
+          found = true;
+          break;
         }
       }
-      if (!ok) {
-        rel[i][j] = false;
-        changed = true;
-      }
+      if (!found) return false;
     }
+    verdict = kTrue;
+    return true;
   }
-  return changed;
-}
+
+ private:
+  static constexpr uint8_t kOpen = 0;
+  static constexpr uint8_t kFalse = 1;
+  static constexpr uint8_t kTrue = 2;
+
+  const ImageGraph& g1_;
+  const ImageGraph& g2_;
+  std::vector<uint8_t> verdicts_;
+};
 
 }  // namespace
 
@@ -89,28 +90,7 @@ bool Simulates(const ImageGraph& g1, const ImageGraph& g2) {
   if (g1.empty()) return true;   // the empty query is contained in anything
   if (g2.empty()) return false;  // nothing non-empty fits into empty
   if (g1.imprecise || g2.imprecise) return false;  // conservative
-
-  SimState state;
-  state.g1 = &g1;
-  state.g2 = &g2;
-  state.fwd.assign(g1.size(), std::vector<bool>(g2.size(), false));
-  state.rev.assign(g2.size(), std::vector<bool>(g1.size(), false));
-  for (int i = 0; i < g1.size(); ++i) {
-    for (int j = 0; j < g2.size(); ++j) {
-      // Compatibility is direction-sensitive (tags, frontiers).
-      state.fwd[i][j] = LabelsCompatible(g1.nodes[i], g2.nodes[j]);
-      state.rev[j][i] = LabelsCompatible(g2.nodes[j], g1.nodes[i]);
-    }
-  }
-
-  // Greatest fixpoint: alternate refinement until both matrices are
-  // stable.
-  while (true) {
-    bool c1 = Refine(g1, g2, state.fwd, state.rev);
-    bool c2 = Refine(g2, g1, state.rev, state.fwd);
-    if (!c1 && !c2) break;
-  }
-  return state.fwd[g1.root][g2.root];
+  return Simulation(g1, g2).Simulated(true, g1.root, g2.root);
 }
 
 }  // namespace secview

@@ -278,6 +278,26 @@ TEST_F(CliTest, UnknownCommand) {
   EXPECT_NE(err_.str().find("unknown command"), std::string::npos);
 }
 
+TEST_F(CliTest, RetiredFlagIsRejectedWithoutSwallowingTheNext) {
+  // --no-compiled is gone; it must not take --no-optimize as its value.
+  EXPECT_EQ(Run({"rewrite", "--dtd", Path("hospital.dtd"), "--spec",
+                 Path("nurse.spec"), "--query", "//patient", "--no-compiled",
+                 "--no-optimize"}),
+            2);
+  EXPECT_NE(err_.str().find("unknown flag '--no-compiled'"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, MisspeltFlagIsRejected) {
+  EXPECT_EQ(Run({"query", "--dtd", Path("hospital.dtd"), "--spec",
+                 Path("nurse.spec"), "--xml", Path("doc.xml"), "--qeury",
+                 "//patient"}),
+            2);
+  EXPECT_NE(err_.str().find("unknown flag '--qeury'"), std::string::npos)
+      << err_.str();
+}
+
 TEST_F(CliTest, MissingFlags) {
   EXPECT_EQ(Run({"validate", "--dtd", Path("hospital.dtd")}), 2);
   EXPECT_NE(err_.str().find("--xml"), std::string::npos);

@@ -1,11 +1,19 @@
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 #include "optimize/constraints.h"
 #include "optimize/image_graph.h"
 #include "optimize/optimizer.h"
 #include "optimize/simulation.h"
+#include "rewrite/rewriter.h"
+#include "security/derive.h"
 #include "workload/adex.h"
 #include "workload/generator.h"
 #include "workload/hospital.h"
@@ -203,6 +211,10 @@ TEST_F(SimulationTest, UnionBranchQualifiersDoNotMergeUnsoundly) {
   // epoch separation must prevent the false positive.
   EXPECT_FALSE(Contained("b/d[e] | b/d[f]", "b/d[e]"));
   EXPECT_TRUE(Contained("b/d[e] | b/d[f]", "b/d"));
+  // A qualifier-free d from the first branch must not be reused by the
+  // second: [f] would land on the first branch's d as well, and the
+  // union would read as contained in d[f]/(e | .).
+  EXPECT_FALSE(Contained("b/d/e | b/d[f]", "b/d[f]/(e | .)"));
 }
 
 
@@ -248,6 +260,77 @@ TEST(ContainmentApiTest, PublicHelper) {
   DtdGraph rec_graph(rec);
   EXPECT_FALSE(
       IsContainedIn(rec_graph, MustParse("a"), MustParse("a"), 0).ok());
+}
+
+// -- Simulation edge cases -------------------------------------------------------
+
+/// Label path t1/t2/.../t<last>, built directly (no parser limits).
+PathPtr ChainPath(int last) {
+  PathPtr p = MakeLabel("t1");
+  for (int i = 2; i <= last; ++i) {
+    p = MakeSlash(std::move(p), MakeLabel("t" + std::to_string(i)));
+  }
+  return p;
+}
+
+TEST(SimulationEdgeTest, DeepChainDtd) {
+  // t0 -> t1* -> ... -> t2048*: far deeper than real DTDs. The image
+  // builder and the simulation walk one level per step, and must still
+  // answer without running out of stack.
+  constexpr int kHeight = 2048;
+  Dtd dtd;
+  for (int i = 0; i < kHeight; ++i) {
+    ASSERT_TRUE(dtd.AddType("t" + std::to_string(i),
+                            ContentModel::Star("t" + std::to_string(i + 1)))
+                    .ok());
+  }
+  ASSERT_TRUE(
+      dtd.AddType("t" + std::to_string(kHeight), ContentModel::Text()).ok());
+  ASSERT_TRUE(dtd.SetRoot("t0").ok());
+  ASSERT_TRUE(dtd.Finalize().ok());
+  DtdGraph graph(dtd);
+  auto contained = [&](const PathPtr& p1, const PathPtr& p2) {
+    auto r = IsContainedIn(graph, p1, p2, dtd.root());
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() && *r;
+  };
+  PathPtr full = ChainPath(kHeight);
+  PathPtr shorter = ChainPath(kHeight - 1);
+  PathPtr anywhere = MustParse("//t" + std::to_string(kHeight));
+  // shorter[t2048]: the t2047 elements that have a t2048 child.
+  PathPtr qualified = MakeQualified(
+      shorter, MakeQualPath(MakeLabel("t" + std::to_string(kHeight))));
+  EXPECT_TRUE(contained(full, anywhere));
+  EXPECT_TRUE(contained(anywhere, full));
+  EXPECT_FALSE(contained(full, shorter));
+  EXPECT_TRUE(contained(qualified, shorter));
+  EXPECT_FALSE(contained(shorter, qualified));
+}
+
+TEST(SimulationEdgeTest, CyclicGraphsAreNotProven) {
+  // Built images are acyclic; on a hand-built cycle the one-pass
+  // simulation reads a pair it is still deciding as "not simulated".
+  ImageGraph chain;  // 0 -> 1, acyclic: simulates itself
+  chain.nodes.resize(2);
+  chain.nodes[0].label = 0;
+  chain.nodes[0].children = {1};
+  chain.nodes[1].label = 1;
+  chain.root = 0;
+  EXPECT_TRUE(Simulates(chain, chain));
+
+  ImageGraph cycle = chain;  // 0 -> 1 -> 0
+  cycle.nodes[1].children = {0};
+  EXPECT_FALSE(Simulates(cycle, cycle));
+
+  ImageGraph qual_loop;  // a '[]' node that is its own '[]' child
+  qual_loop.nodes.resize(2);
+  qual_loop.nodes[0].label = 0;
+  qual_loop.nodes[0].qual_children = {1};
+  qual_loop.nodes[1].label = 0;
+  qual_loop.nodes[1].is_qual = true;
+  qual_loop.nodes[1].qual_children = {1};
+  qual_loop.root = 0;
+  EXPECT_FALSE(Simulates(qual_loop, qual_loop));
 }
 
 // -- Algorithm optimize ----------------------------------------------------------
@@ -444,6 +527,102 @@ INSTANTIATE_TEST_SUITE_P(
                     "//*[r-e.unit-type]",
                     "//content//house | //house",
                     "body//apartment/r-e.unit-type"));
+
+// -- Golden optimizer output -------------------------------------------------------
+
+/// 64-bit FNV-1a over a sequence of strings, each closed by a 0xff byte.
+class Fnv1a {
+ public:
+  void Add(std::string_view text) {
+    for (unsigned char c : text) Mix(c);
+    Mix(0xff);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Mix(unsigned char c) {
+    hash_ ^= c;
+    hash_ *= 0x100000001b3ULL;
+  }
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct GoldenHashes {
+  uint64_t queries = 0;    ///< the printed optimized queries
+  uint64_t decisions = 0;  ///< OptimizeStats counters and prune trails
+};
+
+/// Rewrites each view query, optimizes it with the EXPLAIN trail on, and
+/// hashes what the optimizer printed and decided.
+GoldenHashes HashOptimized(const QueryRewriter& rewriter,
+                           const QueryOptimizer& optimizer,
+                           const std::vector<PathPtr>& queries) {
+  Fnv1a printed;
+  Fnv1a decisions;
+  for (const PathPtr& q : queries) {
+    auto rewritten = rewriter.Rewrite(q);
+    EXPECT_TRUE(rewritten.ok()) << rewritten.status();
+    if (!rewritten.ok()) continue;
+    OptimizeStats stats;
+    stats.collect_explain = true;
+    auto optimized = optimizer.Optimize(*rewritten, &stats);
+    EXPECT_TRUE(optimized.ok()) << optimized.status();
+    if (!optimized.ok()) continue;
+    printed.Add(ToXPathString(*optimized));
+    decisions.Add(std::to_string(stats.simulation_tests) + " " +
+                  std::to_string(stats.union_prunes) + " " +
+                  std::to_string(stats.nonexistence_prunes) + " " +
+                  std::to_string(stats.dp_entries));
+    for (const OptimizeStats::Prune& prune : stats.prune_trail) {
+      decisions.Add(prune.kind + "|" + prune.at + "|" + prune.detail);
+    }
+  }
+  return {printed.value(), decisions.value()};
+}
+
+// The optimizer is approximate, so its output is its semantics: any
+// change to the containment test or the image graphs must leave every
+// decision as it was. The expected values were recorded before the
+// simulation became a one-pass evaluation.
+TEST(OptimizerGoldenTest, NursePolicyRandomQueries) {
+  Dtd dtd = MakeHospitalDtd();
+  auto spec = MakeNurseSpec(dtd);
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  auto view = DeriveSecurityView(*spec);
+  ASSERT_TRUE(view.ok()) << view.status();
+  auto rewriter = QueryRewriter::Create(*view);
+  ASSERT_TRUE(rewriter.ok()) << rewriter.status();
+  auto optimizer = QueryOptimizer::Create(dtd);
+  ASSERT_TRUE(optimizer.ok()) << optimizer.status();
+  Rng rng(2029);
+  std::vector<PathPtr> queries;
+  for (int i = 0; i < 2000; ++i) {
+    queries.push_back(
+        MakeRandomViewQuery(*view, rng, 1 + static_cast<int>(rng.Below(5))));
+  }
+  GoldenHashes hashes = HashOptimized(*rewriter, *optimizer, queries);
+  EXPECT_EQ(hashes.queries, 0x6ffd58b0c27be56aULL);
+  EXPECT_EQ(hashes.decisions, 0xb30d5f485d6c82deULL);
+}
+
+TEST(OptimizerGoldenTest, AdexTable1Queries) {
+  Dtd dtd = MakeAdexDtd();
+  auto spec = MakeAdexSpec(dtd);
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  auto view = DeriveSecurityView(*spec);
+  ASSERT_TRUE(view.ok()) << view.status();
+  auto rewriter = QueryRewriter::Create(*view);
+  ASSERT_TRUE(rewriter.ok()) << rewriter.status();
+  auto optimizer = QueryOptimizer::Create(dtd);
+  ASSERT_TRUE(optimizer.ok()) << optimizer.status();
+  auto table1 = MakeAdexQueries();
+  ASSERT_TRUE(table1.ok()) << table1.status();
+  std::vector<PathPtr> queries;
+  for (const auto& [name, q] : table1->All()) queries.push_back(q);
+  GoldenHashes hashes = HashOptimized(*rewriter, *optimizer, queries);
+  EXPECT_EQ(hashes.queries, 0x1f0a451f9e6b32afULL);
+  EXPECT_EQ(hashes.decisions, 0xa2b368a2ff658966ULL);
+}
 
 }  // namespace
 }  // namespace secview
