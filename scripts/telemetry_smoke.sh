@@ -118,8 +118,11 @@ echo "$METRICS" | grep -q 'secview_build_info{' || {
   echo "telemetry_smoke: /metrics missing build info" >&2; exit 1; }
 
 echo "== /varz =="
-"$SECVIEW" scrape --port "$PORT" --retries 3 --path /varz \
-  | grep -q '"schema": "secview.metrics.v1"' || {
+# Captured first, like /metrics and /statusz: piping scrape straight into
+# `grep -q` lets grep exit before scrape finishes writing, and the
+# scrape's SIGPIPE then fails the pipeline under pipefail.
+VARZ="$("$SECVIEW" scrape --port "$PORT" --retries 3 --path /varz)"
+echo "$VARZ" | grep -q '"schema": "secview.metrics.v1"' || {
   echo "telemetry_smoke: /varz schema mismatch" >&2; exit 1; }
 
 echo "== /statusz =="
@@ -132,8 +135,8 @@ echo "$STATUSZ" | grep -q 'query=//patient//bill' || {
   echo "telemetry_smoke: /statusz missing slow-query entries" >&2; exit 1; }
 
 echo "== /heapz =="
-"$SECVIEW" scrape --port "$PORT" --retries 3 --path /heapz \
-  | grep -q 'process: rss [0-9]*B, peak rss [0-9]*B' || {
+HEAPZ="$("$SECVIEW" scrape --port "$PORT" --retries 3 --path /heapz)"
+echo "$HEAPZ" | grep -q 'process: rss [0-9]*B, peak rss [0-9]*B' || {
   echo "telemetry_smoke: /heapz missing process RSS line" >&2; exit 1; }
 
 echo "== /memz =="

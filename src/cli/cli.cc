@@ -601,7 +601,8 @@ Status CmdQuery(const Args& args, std::ostream& out) {
     }
     ExecuteResult result = std::move(executed).value();
     out << "# rewritten: " << ToXPathString(result.rewritten) << "\n";
-    out << "# evaluated: " << ToXPathString(result.evaluated) << "\n";
+    out << "# evaluated: " << ToXPathString(result.evaluated, args.bindings)
+        << "\n";
     out << "# results: " << result.nodes.size() << "\n";
     if (args.switches.count("--extract")) {
       SECVIEW_ASSIGN_OR_RETURN(
@@ -676,12 +677,12 @@ Status CmdQuery(const Args& args, std::ostream& out) {
     span.SetAttr("ast_after", PathSize(rewritten));
     metrics.GetCounter("optimize.queries").Add();
   }
-  PathPtr bound;
+  std::shared_ptr<const CompiledPlan> plan;
   {
-    obs::ScopedSpan span(&trace, "bind");
-    bound = BindParams(rewritten, args.bindings);
+    obs::ScopedSpan span(&trace, "compile");
+    plan = CompilePlan(rewritten);
   }
-  out << "# evaluated: " << ToXPathString(bound) << "\n";
+  out << "# evaluated: " << ToXPathString(rewritten, args.bindings) << "\n";
   NodeSet nodes;
   std::unique_ptr<StepProfile> profile;
   {
@@ -695,7 +696,8 @@ Status CmdQuery(const Args& args, std::ostream& out) {
       profiler.emplace();
       evaluator.set_profiler(&*profiler);
     }
-    SECVIEW_ASSIGN_OR_RETURN(nodes, evaluator.Evaluate(bound, doc.root()));
+    SECVIEW_ASSIGN_OR_RETURN(
+        nodes, evaluator.EvaluateCompiled(*plan, doc.root(), args.bindings));
     span.SetAttr("nodes_touched", evaluator.counters().nodes_touched);
     span.SetAttr("results", static_cast<uint64_t>(nodes.size()));
     if (want_profile) {

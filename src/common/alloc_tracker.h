@@ -22,7 +22,8 @@ namespace secview {
 /// calls requested via operator new on this thread since thread start.
 /// Monotone by design — deallocations are not subtracted — because
 /// per-query churn is what the engine's phase breakdown and the
-/// BENCH_alloc.json gate measure. No hook writes a shared counter; the
+/// evaluate-allocation gate in scripts/check.sh measure. No hook writes
+/// a shared counter; the
 /// only shared reads are the two relaxed observer-pointer loads that the
 /// sampled heap profiler (obs/heap_profile) installs through
 /// SetHeapHooks. Process-wide memory comes from the kernel instead:

@@ -444,17 +444,17 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
               &result.stats, options.parse_limits, budget_ptr));
   result.rewritten = prepared->rewritten;
   if (budget_ptr != nullptr) SECVIEW_RETURN_IF_ERROR(budget_ptr->Check());
-  PathPtr to_run;
   {
+    // The VM binds $parameters itself, per call, from options.bindings;
+    // this only refuses a query some of whose parameters have no value.
     obs::ScopedSpan span(options.trace, "bind");
-    to_run = BindParams(prepared->evaluated, options.bindings);
+    if (!BindPlanConsts(*prepared->plan, options.bindings, nullptr)) {
+      return Status::FailedPrecondition(
+          "the policy's qualifiers have unbound $parameters; pass them in "
+          "ExecuteOptions::bindings");
+    }
   }
-  if (HasUnboundParams(to_run)) {
-    return Status::FailedPrecondition(
-        "the policy's qualifiers have unbound $parameters; pass them in "
-        "ExecuteOptions::bindings");
-  }
-  result.evaluated = to_run;
+  result.evaluated = prepared->evaluated;
   result.stats.ast_size_rewritten = prepared->rewritten_size;
   result.stats.ast_size_evaluated = prepared->evaluated_size;
 
@@ -652,7 +652,7 @@ Result<ExecuteResult> SecureQueryEngine::Execute(
       event.rewritten = ToXPathString(result.rewritten);
     }
     if (result.evaluated != nullptr) {
-      event.evaluated = ToXPathString(result.evaluated);
+      event.evaluated = ToXPathString(result.evaluated, options.bindings);
     }
     const ExecuteStats& s = result.stats;
     event.results = static_cast<uint64_t>(s.result_count);

@@ -163,7 +163,9 @@ struct ExecuteResult {
   NodeSet nodes;
   /// The query after rewriting over the view (unbound).
   PathPtr rewritten;
-  /// The query actually evaluated (optimized + bound).
+  /// The query the evaluated plan was compiled from: the cache entry's
+  /// optimized rewriting, shared and *unbound* (the VM binds $parameters
+  /// per call). Null when the execution failed before binding.
   PathPtr evaluated;
   /// Per-execution cost and provenance statistics.
   ExecuteStats stats;

@@ -81,8 +81,8 @@ class XPathEvaluator {
 
   /// Executes a compiled plan over pooled NodeSet buffers from
   /// `scratch`. `bindings` resolve the plan's $parameter constants per
-  /// call, first match wins (the plan itself stays unbound, so cached
-  /// plans serve every binding set). `scratch` defaults to the calling
+  /// call through BindPlanConsts, first match wins (the plan itself
+  /// stays unbound, so cached plans serve every binding set). `scratch` defaults to the calling
   /// thread's EvalScratch::ThreadLocal(). Fails with FailedPrecondition
   /// when a $parameter is unbound, and when the plan was compiled with
   /// PlanCompileOptions::use_index but no LabelIndex is attached.
@@ -117,11 +117,11 @@ class XPathEvaluator {
   }
 
   /// Attaches a per-step plan profiler (xpath/profiler.h): every plan
-  /// op and qualifier evaluation opens a profile frame keyed on the op's
-  /// source AST node, producing an EXPLAIN ANALYZE-style StepProfile
-  /// tree. Pass nullptr to detach. The unprofiled fast path costs one
-  /// pointer compare per op invocation; results are identical with and
-  /// without a profiler.
+  /// op invocation and qualifier evaluation adds its costs to the cell
+  /// of its op id, and each EvaluateCompiled call folds the cells into
+  /// an EXPLAIN ANALYZE-style StepProfile tree. Pass nullptr to detach.
+  /// The unprofiled fast path costs one pointer compare per op
+  /// invocation; results are identical with and without a profiler.
   void set_profiler(PlanProfiler* profiler) { profiler_ = profiler; }
 
   /// Costs accumulated since construction or ResetWork().
@@ -134,7 +134,7 @@ class XPathEvaluator {
 
  private:
   /// One op invocation: an empty context short-circuits before the
-  /// budget checkpoint and opens no profiler frame. Indices address the
+  /// budget checkpoint and is not counted by the profiler. Indices address the
   /// plan bound in plan_ for the duration of one EvaluateCompiled call.
   void RunOp(int32_t op, const NodeSet& ctx, NodeSet& out);
   void RunOpStep(int32_t op, const NodeSet& ctx, NodeSet& out);

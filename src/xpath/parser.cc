@@ -36,13 +36,26 @@ class Parser {
   }
 
  private:
-  /// Balances depth_ across every exit path of a recursive production.
+  /// Balances depth_ across every exit path of a production. Deepen
+  /// adds a level for each extra operand of a left-deep chain ('/',
+  /// '//', '|', '[q]', 'and', 'or'), which nests the AST one level
+  /// deeper, so max_depth bounds the AST's depth and not just the
+  /// parser's recursion.
   struct DepthGuard {
-    explicit DepthGuard(Parser* p) : p_(p) { ++p_->depth_; }
-    ~DepthGuard() { --p_->depth_; }
+    explicit DepthGuard(Parser* p, size_t levels = 1)
+        : p_(p), levels_(levels) {
+      p_->depth_ += levels;
+    }
+    ~DepthGuard() { p_->depth_ -= levels_; }
     DepthGuard(const DepthGuard&) = delete;
     DepthGuard& operator=(const DepthGuard&) = delete;
+    Status Deepen() {
+      ++levels_;
+      ++p_->depth_;
+      return p_->CheckDepth();
+    }
     Parser* p_;
+    size_t levels_;
   };
 
   Status CheckInputSize() const {
@@ -122,6 +135,7 @@ class Parser {
     SECVIEW_RETURN_IF_ERROR(CheckDepth());
     SECVIEW_ASSIGN_OR_RETURN(PathPtr p, ParseSeq());
     while (Consume("|")) {
+      SECVIEW_RETURN_IF_ERROR(depth.Deepen());
       SECVIEW_ASSIGN_OR_RETURN(PathPtr rhs, ParseSeq());
       p = MakeUnion(std::move(p), std::move(rhs));
     }
@@ -141,13 +155,16 @@ class Parser {
     } else {
       SECVIEW_ASSIGN_OR_RETURN(p, ParseStep());
     }
+    DepthGuard chain(this, 0);
     while (true) {
       SkipWs();
       if (Consume("//")) {
+        SECVIEW_RETURN_IF_ERROR(chain.Deepen());
         SECVIEW_ASSIGN_OR_RETURN(PathPtr step, ParseStep());
         p = MakeSlash(std::move(p), MakeDescOrSelf(std::move(step)));
       } else if (Peek() == '/') {
         ++pos_;
+        SECVIEW_RETURN_IF_ERROR(chain.Deepen());
         SECVIEW_ASSIGN_OR_RETURN(PathPtr step, ParseStep());
         p = MakeSlash(std::move(p), std::move(step));
       } else {
@@ -159,7 +176,9 @@ class Parser {
   /// step := primary ('[' qual ']')*
   Result<PathPtr> ParseStep() {
     SECVIEW_ASSIGN_OR_RETURN(PathPtr p, ParsePrimary());
+    DepthGuard chain(this, 0);
     while (Consume("[")) {
+      SECVIEW_RETURN_IF_ERROR(chain.Deepen());
       SECVIEW_ASSIGN_OR_RETURN(QualPtr q, ParseQual());
       if (!Consume("]")) return Error("expected ']'");
       p = MakeQualified(std::move(p), std::move(q));
@@ -191,6 +210,7 @@ class Parser {
     SECVIEW_RETURN_IF_ERROR(CheckDepth());
     SECVIEW_ASSIGN_OR_RETURN(QualPtr q, ParseQualAnd());
     while (ConsumeWord("or")) {
+      SECVIEW_RETURN_IF_ERROR(depth.Deepen());
       SECVIEW_ASSIGN_OR_RETURN(QualPtr rhs, ParseQualAnd());
       q = MakeQualOr(std::move(q), std::move(rhs));
     }
@@ -200,7 +220,9 @@ class Parser {
   /// and_expr := unary ('and' unary)*
   Result<QualPtr> ParseQualAnd() {
     SECVIEW_ASSIGN_OR_RETURN(QualPtr q, ParseQualUnary());
+    DepthGuard chain(this, 0);
     while (ConsumeWord("and")) {
+      SECVIEW_RETURN_IF_ERROR(chain.Deepen());
       SECVIEW_ASSIGN_OR_RETURN(QualPtr rhs, ParseQualUnary());
       q = MakeQualAnd(std::move(q), std::move(rhs));
     }

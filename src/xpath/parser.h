@@ -31,8 +31,11 @@ namespace secview {
 struct XPathParseLimits {
   /// Maximum query text length in bytes.
   size_t max_input_bytes = 1 << 20;
-  /// Maximum nesting depth (parentheses, qualifiers, not(...)): bounds
-  /// the parser's recursion and the depth of the resulting AST.
+  /// Maximum nesting depth: each parenthesis, qualifier and not(...)
+  /// nests one level, and so does each extra operand of a left-deep
+  /// chain ('/', '//', '|', '[q]', 'and', 'or'). Bounds the parser's
+  /// recursion and the depth of the resulting AST, which the rewriter,
+  /// printer and destructors walk recursively.
   size_t max_depth = 256;
   /// Maximum number of tokens (steps, literals, operators) parsed:
   /// bounds the AST node count.

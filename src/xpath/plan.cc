@@ -18,7 +18,6 @@ class PlanBuilder {
 
   int32_t CompilePath(const PathPtr& p) {
     CompiledPlan::Op op;
-    op.ast = p.get();
     switch (p->kind) {
       case PathKind::kEmptySet:
         op.code = CompiledPlan::OpCode::kEmptySet;
@@ -41,7 +40,7 @@ class PlanBuilder {
       case PathKind::kDescOrSelf: {
         // With an index, '//label' and '//label[q]' become one
         // index-scan op (the inner label — and for the qualified form
-        // the filter — get no ops, hence no profiler frames, of their
+        // the filter — get no ops, hence no profile rows, of their
         // own).
         if (use_index_) {
           const PathPtr& step = p->left;
@@ -79,7 +78,6 @@ class PlanBuilder {
   int32_t CompileQual(const QualPtr& q) {
     CompiledPlan::Qual qual;
     qual.kind = q->kind;
-    qual.ast = q.get();
     switch (q->kind) {
       case QualKind::kTrue:
       case QualKind::kFalse:
@@ -163,7 +161,6 @@ std::shared_ptr<const CompiledPlan> CompilePlan(
   int32_t root = builder.CompilePath(p);
   auto plan = std::make_shared<CompiledPlan>(builder.Take());
   plan->root = root;
-  plan->source = p;
   plan->ops.shrink_to_fit();
   plan->quals.shrink_to_fit();
   plan->labels.shrink_to_fit();
@@ -171,6 +168,21 @@ std::shared_ptr<const CompiledPlan> CompilePlan(
   plan->attrs.shrink_to_fit();
   plan->byte_size_ = PlanBytes(*plan);
   return plan;
+}
+
+bool BindPlanConsts(
+    const CompiledPlan& plan,
+    const std::vector<std::pair<std::string, std::string>>& bindings,
+    std::vector<const std::string*>* slots) {
+  for (const CompiledPlan::Const& c : plan.consts) {
+    const std::string* value = c.is_param ? nullptr : &c.value;
+    for (size_t i = 0; value == nullptr && i < bindings.size(); ++i) {
+      if (bindings[i].first == c.value) value = &bindings[i].second;
+    }
+    if (value == nullptr) return false;
+    if (slots != nullptr) slots->push_back(value);
+  }
+  return true;
 }
 
 EvalScratch& EvalScratch::ThreadLocal() {

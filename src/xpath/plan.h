@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "xml/tree.h"
@@ -21,6 +22,10 @@ namespace secview {
 /// resolves each of them exactly once per evaluation (per tree / per
 /// binding set) instead of once per step invocation.
 ///
+/// The plan keeps no pointer into its AST. Every AST occurrence is
+/// compiled separately, so ops and quals form a tree (one parent per
+/// index): the PlanProfiler counts per id and folds over that tree.
+///
 /// A CompiledPlan is immutable after CompilePlan returns and carries no
 /// document- or binding-specific state:
 ///
@@ -28,8 +33,8 @@ namespace secview {
 ///    strings and the VM resolves them to this tree's ids at the start
 ///    of each EvaluateCompiled call;
 ///  * `[p = $param]` constants are stored unresolved (`is_param`) and
-///    looked up in the caller's bindings per execution, so one cached
-///    plan serves every binding set.
+///    looked up in the caller's bindings per execution (BindPlanConsts),
+///    so one cached plan serves every binding set.
 ///
 /// This is what makes it safe to cache the plan next to the rewritten
 /// AST in ShardedRewriteCache and share it, read-only, across all
@@ -53,16 +58,13 @@ struct CompiledPlan {
   };
 
   /// One flat path step. Children are `ops` indices (compiled before
-  /// their parent, so every reference points backwards); `ast` is the
-  /// source AST node, used only as the PlanProfiler's position key and
-  /// kept alive by `source`.
+  /// their parent, so every reference points backwards).
   struct Op {
     OpCode code;
     int32_t label = -1;  ///< labels[] index (kLabel, kDescLabelIndexed)
     int32_t left = -1;   ///< ops[] index (kSlash/kUnion lhs, unary operand)
     int32_t right = -1;  ///< ops[] index (kSlash/kUnion rhs)
     int32_t qual = -1;   ///< quals[] index (kQualified, kDescLabelIndexed)
-    const PathExpr* ast = nullptr;
   };
 
   /// One flat qualifier step (the inlined sub-program of a filter op).
@@ -73,7 +75,6 @@ struct CompiledPlan {
     int32_t attr = -1;      ///< attrs[] index (kAttrEq, kAttrExists)
     int32_t left = -1;      ///< quals[] index (kAnd/kOr lhs, kNot operand)
     int32_t right = -1;     ///< quals[] index (kAnd/kOr rhs)
-    const Qualifier* ast = nullptr;
   };
 
   /// A comparison constant, or (is_param) the name of a $parameter the
@@ -94,9 +95,6 @@ struct CompiledPlan {
   /// True iff '//label' steps were lowered to kDescLabelIndexed; such a
   /// plan requires an evaluator with a LabelIndex attached.
   bool uses_index = false;
-  /// The AST the plan was compiled from. Keeps the profiler's per-op
-  /// `ast` position keys alive for the plan's lifetime.
-  PathPtr source;
 
   /// Approximate resident footprint (tables + strings + this struct),
   /// cached at compile time; drives the engine.plan.cache_bytes gauge
@@ -114,10 +112,20 @@ struct PlanCompileOptions {
 };
 
 /// Lowers `p` into a CompiledPlan. Returns nullptr for a null query.
-/// Deterministic and side-effect free; the plan shares (and retains)
-/// the AST but never mutates it.
+/// Deterministic and side-effect free; the plan copies what it needs
+/// and does not retain the AST.
 std::shared_ptr<const CompiledPlan> CompilePlan(
     const PathPtr& p, const PlanCompileOptions& options = {});
+
+/// The one test of whether a plan's `$parameters` are all bound: false
+/// as soon as one has no binding. Appends each of `plan.consts`, in
+/// order, resolved to `slots` when non-null: a literal to its own text,
+/// a parameter to its first binding (first match wins, like
+/// BindParams). Execute passes null to refuse an unbound query early.
+bool BindPlanConsts(
+    const CompiledPlan& plan,
+    const std::vector<std::pair<std::string, std::string>>& bindings,
+    std::vector<const std::string*>* slots);
 
 /// Reusable evaluation scratch: a pool of NodeSet buffers plus the
 /// per-execution label/constant resolution slots, so steady-state

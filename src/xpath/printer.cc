@@ -176,4 +176,10 @@ std::string ToXPathString(const QualPtr& q) {
   return out;
 }
 
+std::string ToXPathString(
+    const PathPtr& p,
+    const std::vector<std::pair<std::string, std::string>>& bindings) {
+  return ToXPathString(BindParams(p, bindings));
+}
+
 }  // namespace secview

@@ -2,6 +2,8 @@
 #define SECVIEW_XPATH_PRINTER_H_
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "xpath/ast.h"
 
@@ -16,6 +18,12 @@ std::string ToXPathString(const PathPtr& p);
 
 /// Renders a qualifier (without the surrounding brackets).
 std::string ToXPathString(const QualPtr& q);
+
+/// Renders `p` with `bindings` applied by BindParams, as audit lines and
+/// the CLI show the evaluated query; the VM itself builds no such tree.
+std::string ToXPathString(
+    const PathPtr& p,
+    const std::vector<std::pair<std::string, std::string>>& bindings);
 
 }  // namespace secview
 

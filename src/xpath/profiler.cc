@@ -1,232 +1,169 @@
 #include "xpath/profiler.h"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <map>
 
-#include "xpath/ast.h"
+#include "xpath/plan.h"
 
 namespace secview {
 
 namespace {
 
-/// The label part of a '//p' step: p itself, or p's base when the step
-/// is qualified — as the plan compiler peels it for index scans.
-const PathExpr* DescendantInner(const PathExpr* p) {
-  const PathExpr* step = p->left.get();
-  if (step != nullptr && step->kind == PathKind::kQualified) {
-    step = step->left.get();
+using OpCode = CompiledPlan::OpCode;
+
+std::string OpSignature(const CompiledPlan& plan, const CompiledPlan::Op& op) {
+  switch (op.code) {
+    case OpCode::kEmptySet:
+      return "empty";
+    case OpCode::kEpsilon:
+      return "self::.";
+    case OpCode::kLabel:
+      return "child::" + plan.labels[op.label];
+    case OpCode::kWildcard:
+      return "child::*";
+    case OpCode::kSlash:
+      return "compose";
+    case OpCode::kDescOrSelf: {
+      // Named after the step under '//', looking through a qualifier:
+      // '//patient[q]' is "descendant::patient".
+      const CompiledPlan::Op* inner = &plan.ops[op.left];
+      if (inner->code == OpCode::kQualified) inner = &plan.ops[inner->left];
+      if (inner->code == OpCode::kLabel) {
+        return "descendant::" + plan.labels[inner->label];
+      }
+      if (inner->code == OpCode::kWildcard) return "descendant::*";
+      return "descendant::(path)";
+    }
+    case OpCode::kDescLabelIndexed:
+      return "descendant::" + plan.labels[op.label];
+    case OpCode::kUnion:
+      return "union";
+    case OpCode::kQualified:
+      return "filter";
   }
-  return step;
+  return "unknown";
+}
+
+/// Axis per OpCode, and signature per QualKind, in declaration order.
+constexpr const char* kOpAxes[] = {"empty",      "self",       "child",
+                                   "child",      "compose",    "descendant",
+                                   "descendant", "union",      "filter"};
+constexpr const char* kQualSignatures[] = {
+    "pred::path", "pred::eq",    "pred::and",     "pred::or",
+    "pred::not",  "pred::true",  "pred::false",   "pred::attr-eq",
+    "pred::attr-exists"};
+static_assert(std::size(kOpAxes) ==
+              static_cast<size_t>(OpCode::kQualified) + 1);
+static_assert(std::size(kQualSignatures) ==
+              static_cast<size_t>(QualKind::kAttrExists) + 1);
+
+/// The children of a plan position in evaluation order: an op's left
+/// and right operands and its filter, a qualifier's path and its left
+/// and right operands. Absent children have id -1.
+std::array<PlanProfiler::Position, 3> Children(
+    const CompiledPlan& plan, PlanProfiler::Position at) {
+  if (at.qual) {
+    const CompiledPlan::Qual& q = plan.quals[at.id];
+    return {{{false, q.path}, {true, q.left}, {true, q.right}}};
+  }
+  const CompiledPlan::Op& op = plan.ops[at.id];
+  return {{{false, op.left}, {false, op.right}, {true, op.qual}}};
+}
+
+std::unique_ptr<StepProfile> MakeRoot() {
+  auto root = std::make_unique<StepProfile>();
+  root->signature = "query";
+  root->axis = "query";
+  return root;
 }
 
 }  // namespace
 
-std::string StepSignature(const PathExpr* p) {
-  switch (p->kind) {
-    case PathKind::kEmptySet:
-      return "empty";
-    case PathKind::kEpsilon:
-      return "self::.";
-    case PathKind::kLabel:
-      return "child::" + p->label;
-    case PathKind::kWildcard:
-      return "child::*";
-    case PathKind::kSlash:
-      return "compose";
-    case PathKind::kDescOrSelf: {
-      const PathExpr* inner = DescendantInner(p);
-      if (inner != nullptr && inner->kind == PathKind::kLabel) {
-        return "descendant::" + inner->label;
-      }
-      if (inner != nullptr && inner->kind == PathKind::kWildcard) {
-        return "descendant::*";
-      }
-      return "descendant::(path)";
-    }
-    case PathKind::kUnion:
-      return "union";
-    case PathKind::kQualified:
-      return "filter";
-  }
-  return "unknown";
-}
-
-std::string StepAxis(const PathExpr* p) {
-  switch (p->kind) {
-    case PathKind::kEmptySet:
-      return "empty";
-    case PathKind::kEpsilon:
-      return "self";
-    case PathKind::kLabel:
-    case PathKind::kWildcard:
-      return "child";
-    case PathKind::kSlash:
-      return "compose";
-    case PathKind::kDescOrSelf:
-      return "descendant";
-    case PathKind::kUnion:
-      return "union";
-    case PathKind::kQualified:
-      return "filter";
-  }
-  return "unknown";
-}
-
-std::string StepSignature(const Qualifier* q) {
-  switch (q->kind) {
-    case QualKind::kPath:
-      return "pred::path";
-    case QualKind::kPathEqConst:
-      return "pred::eq";
-    case QualKind::kAnd:
-      return "pred::and";
-    case QualKind::kOr:
-      return "pred::or";
-    case QualKind::kNot:
-      return "pred::not";
-    case QualKind::kTrue:
-      return "pred::true";
-    case QualKind::kFalse:
-      return "pred::false";
-    case QualKind::kAttrEq:
-      return "pred::attr-eq";
-    case QualKind::kAttrExists:
-      return "pred::attr-exists";
-  }
-  return "pred::unknown";
-}
-
 PlanProfiler::PlanProfiler()
-    : root_(std::make_unique<StepProfile>()),
-      track_alloc_(AllocTrackingAvailable()) {
-  root_->signature = "query";
-  root_->axis = "query";
-  stack_.reserve(16);
-}
+    : root_(MakeRoot()), track_alloc_(AllocTrackingAvailable()) {}
 
 PlanProfiler::~PlanProfiler() = default;
 
-StepProfile* PlanProfiler::ChildFor(const void* ast, std::string signature,
-                                    std::string axis) {
-  StepProfile* parent = stack_.empty() ? root_.get() : stack_.back().node;
-  for (const auto& child : parent->children) {
-    if (child->ast == ast) return child.get();
-  }
-  auto child = std::make_unique<StepProfile>();
-  child->ast = ast;
-  child->signature = std::move(signature);
-  child->axis = std::move(axis);
-  parent->children.push_back(std::move(child));
-  return parent->children.back().get();
+void PlanProfiler::Begin(const CompiledPlan& plan) {
+  op_cells_.assign(plan.ops.size(), StepCosts{});
+  qual_cells_.assign(plan.quals.size(), StepCosts{});
 }
 
-void PlanProfiler::Enter(StepProfile* node, const EvalCounters& counters,
-                         size_t context_size) {
-  Frame frame;
-  frame.node = node;
-  frame.enter = counters;
-  frame.start = std::chrono::steady_clock::now();
-  if (track_alloc_) frame.alloc_enter = ThreadAllocCounts();
-  stack_.push_back(std::move(frame));
-  node->invocations += 1;
-  node->in_cardinality += static_cast<uint64_t>(context_size);
+PlanProfiler::Mark PlanProfiler::Start(const EvalCounters& counters) const {
+  Mark mark;
+  mark.counters = counters;
+  mark.start = std::chrono::steady_clock::now();
+  if (track_alloc_) mark.alloc = ThreadAllocCounts();
+  return mark;
 }
 
-void PlanProfiler::EnterPath(const PathExpr* p, const EvalCounters& counters,
-                             size_t context_size) {
-  // The mirror lookup is positional (parent-scoped, keyed by AST node
-  // identity), so the signature is only derived when the position is
-  // first visited.
-  StepProfile* parent = stack_.empty() ? root_.get() : stack_.back().node;
-  StepProfile* node = nullptr;
-  for (const auto& child : parent->children) {
-    if (child->ast == p) {
-      node = child.get();
-      break;
-    }
-  }
-  if (node == nullptr) node = ChildFor(p, StepSignature(p), StepAxis(p));
-  Enter(node, counters, context_size);
-}
-
-void PlanProfiler::EnterQual(const Qualifier* q, const EvalCounters& counters) {
-  StepProfile* parent = stack_.empty() ? root_.get() : stack_.back().node;
-  StepProfile* node = nullptr;
-  for (const auto& child : parent->children) {
-    if (child->ast == q) {
-      node = child.get();
-      break;
-    }
-  }
-  if (node == nullptr) node = ChildFor(q, StepSignature(q), "predicate");
-  Enter(node, counters, /*context_size=*/1);
-}
-
-void PlanProfiler::Exit(const EvalCounters& counters, size_t out_size) {
-  if (stack_.empty()) return;  // unbalanced Exit: drop rather than crash
-  Frame frame = std::move(stack_.back());
-  stack_.pop_back();
-
-  const auto now = std::chrono::steady_clock::now();
-  const uint64_t incl_nanos = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - frame.start)
+void PlanProfiler::Add(Position at, const Mark& mark,
+                       const EvalCounters& counters, size_t in, size_t out) {
+  StepCosts& cell = at.qual ? qual_cells_[at.id] : op_cells_[at.id];
+  cell.total_nanos += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - mark.start)
           .count());
-  uint64_t incl_alloc_bytes = 0;
-  uint64_t incl_alloc_count = 0;
   if (track_alloc_) {
     const AllocCounts alloc = ThreadAllocCounts();
-    incl_alloc_bytes = alloc.bytes - frame.alloc_enter.bytes;
-    incl_alloc_count = alloc.count - frame.alloc_enter.count;
+    cell.alloc_bytes += alloc.bytes - mark.alloc.bytes;
+    cell.alloc_count += alloc.count - mark.alloc.count;
   }
+  cell.invocations += 1;
+  cell.in_cardinality += static_cast<uint64_t>(in);
+  cell.out_cardinality += static_cast<uint64_t>(out);
+  cell.nodes_touched += counters.nodes_touched - mark.counters.nodes_touched;
+  cell.predicate_evals +=
+      counters.predicate_evals - mark.counters.predicate_evals;
+  cell.index_scans += counters.index_scans - mark.counters.index_scans;
+  cell.sort_skips += counters.sort_skips - mark.counters.sort_skips;
+}
 
-  // Inclusive deltas over this frame's lifetime; exclusive = inclusive
-  // minus the closed child frames' inclusive totals. The counters are
-  // monotone and child frames nest strictly inside this one, so the
-  // subtraction never underflows — and the telescoping sum is what makes
-  // tree-wide self totals reproduce the evaluator's aggregates exactly.
-  const uint64_t nodes = counters.nodes_touched - frame.enter.nodes_touched;
-  const uint64_t preds = counters.predicate_evals - frame.enter.predicate_evals;
-  const uint64_t scans = counters.index_scans - frame.enter.index_scans;
-  const uint64_t skips = counters.sort_skips - frame.enter.sort_skips;
-
-  StepProfile* node = frame.node;
-  node->out_cardinality += static_cast<uint64_t>(out_size);
-  node->nodes_touched += nodes - frame.child.nodes_touched;
-  node->predicate_evals += preds - frame.child.predicate_evals;
-  node->index_scans += scans - frame.child.index_scans;
-  node->sort_skips += skips - frame.child.sort_skips;
-  node->total_nanos += incl_nanos;
-  node->self_nanos += incl_nanos - std::min(incl_nanos, frame.child_nanos);
-  node->alloc_bytes +=
-      incl_alloc_bytes - std::min(incl_alloc_bytes, frame.child_alloc_bytes);
-  node->alloc_count +=
-      incl_alloc_count - std::min(incl_alloc_count, frame.child_alloc_count);
-
-  if (!stack_.empty()) {
-    Frame& parent = stack_.back();
-    parent.child.nodes_touched += nodes;
-    parent.child.predicate_evals += preds;
-    parent.child.index_scans += scans;
-    parent.child.sort_skips += skips;
-    parent.child_nanos += incl_nanos;
-    parent.child_alloc_bytes += incl_alloc_bytes;
-    parent.child_alloc_count += incl_alloc_count;
+void PlanProfiler::Fold(const CompiledPlan& plan) {
+  const Position root{false, plan.root};
+  if (CellAt(root).invocations > 0) {
+    root_->children.push_back(FoldStep(plan, root));
   }
+}
+
+std::unique_ptr<StepProfile> PlanProfiler::FoldStep(const CompiledPlan& plan,
+                                                    Position at) const {
+  auto step = std::make_unique<StepProfile>();
+  static_cast<StepCosts&>(*step) = CellAt(at);
+  if (at.qual) {
+    step->signature = kQualSignatures[static_cast<int>(plan.quals[at.id].kind)];
+    step->axis = "predicate";
+  } else {
+    step->signature = OpSignature(plan, plan.ops[at.id]);
+    step->axis = kOpAxes[static_cast<int>(plan.ops[at.id].code)];
+  }
+  // Children run strictly inside their parent's invocations, so the
+  // parent's inclusive cell minus its children's is its exclusive cost,
+  // and the self costs of the whole tree telescope to the aggregates.
+  step->self_nanos = step->total_nanos;
+  for (Position child : Children(plan, at)) {
+    if (child.id < 0 || CellAt(child).invocations == 0) continue;
+    const StepCosts& nested = CellAt(child);
+    step->nodes_touched -= nested.nodes_touched;
+    step->predicate_evals -= nested.predicate_evals;
+    step->index_scans -= nested.index_scans;
+    step->sort_skips -= nested.sort_skips;
+    step->self_nanos -= std::min(step->self_nanos, nested.total_nanos);
+    step->alloc_bytes -= std::min(step->alloc_bytes, nested.alloc_bytes);
+    step->alloc_count -= std::min(step->alloc_count, nested.alloc_count);
+    step->children.push_back(FoldStep(plan, child));
+  }
+  return step;
 }
 
 std::unique_ptr<StepProfile> PlanProfiler::TakeRoot() {
   auto taken = std::move(root_);
-  Reset();
+  root_ = MakeRoot();
   return taken;
-}
-
-void PlanProfiler::Reset() {
-  root_ = std::make_unique<StepProfile>();
-  root_->signature = "query";
-  root_->axis = "query";
-  stack_.clear();
 }
 
 namespace {

@@ -16,29 +16,15 @@
 
 namespace secview {
 
-struct PathExpr;
-struct Qualifier;
+struct CompiledPlan;
 
-/// One node of an EXPLAIN ANALYZE-style cost tree mirroring the shape of
-/// the evaluated plan (the rewritten+optimized AST). Counters are
+/// The costs of one plan step. In a StepProfile the counters are
 /// *exclusive* (self) costs — work charged to this step and not to any
 /// nested step — so summing a field over the whole tree reproduces the
 /// evaluator's aggregate EvalCounters exactly; `total_nanos` is the only
 /// inclusive field (children included), mirroring EXPLAIN ANALYZE's
-/// "actual time". A step invoked from several places in the plan (the
-/// AST is a shared-subexpression DAG) is profiled per *position*: the
-/// mirror keys children by AST identity within their parent, so shared
-/// subtrees get one StepProfile per occurrence path, not a merged one.
-struct StepProfile {
-  /// Canonical step signature, e.g. "child::patient", "descendant::*",
-  /// "pred::eq". Stable across runs; PlanProfileTable aggregates by it.
-  std::string signature;
-  /// Coarse step class: child | descendant | self | empty | compose |
-  /// union | filter | predicate. Per-axis metrics aggregate by this.
-  std::string axis;
-  /// AST node identity (position key inside the parent; not exported).
-  const void* ast = nullptr;
-
+/// "actual time".
+struct StepCosts {
   uint64_t invocations = 0;      ///< times this step ran
   uint64_t in_cardinality = 0;   ///< sum of context-set sizes
   uint64_t out_cardinality = 0;  ///< sum of result-set sizes (preds: hits)
@@ -50,77 +36,94 @@ struct StepProfile {
   uint64_t total_nanos = 0;      ///< wall time including nested steps
   uint64_t alloc_bytes = 0;      ///< self heap churn (0 w/o alloc tracker)
   uint64_t alloc_count = 0;      ///< self operator-new calls
+};
+
+/// One node of an EXPLAIN ANALYZE-style cost tree mirroring the shape of
+/// the evaluated plan: one node per plan op or qualifier that ran at
+/// least once. CompilePlan lowers every AST occurrence separately, so a
+/// subexpression that the AST shares between several positions is
+/// profiled once per position.
+struct StepProfile : StepCosts {
+  /// Canonical step signature, e.g. "child::patient", "descendant::*",
+  /// "pred::eq". Stable across runs; PlanProfileTable aggregates by it.
+  std::string signature;
+  /// Coarse step class: child | descendant | self | empty | compose |
+  /// union | filter | predicate. Per-axis metrics aggregate by this.
+  std::string axis;
 
   std::vector<std::unique_ptr<StepProfile>> children;
 };
 
-/// Records per-step costs while an XPathEvaluator runs. Attach with
-/// XPathEvaluator::set_profiler before Evaluate; afterwards TakeRoot()
-/// yields the profile tree (root is a synthetic "query" container whose
-/// children are the top-level steps — several public Evaluate calls on
-/// the same profiler accumulate under one root).
+/// Records per-step costs while an XPathEvaluator runs compiled plans.
+/// Attach with XPathEvaluator::set_profiler before evaluating; root()
+/// then holds the profile tree (a synthetic "query" container; each
+/// EvaluateCompiled call adds its plan's tree under it).
 ///
-/// The evaluator pays one pointer-null compare per plan-node invocation
-/// when no profiler is attached; all clock/alloc reads below only happen
-/// in profiled runs. Not thread-safe: one profiler per evaluator per
+/// During a call the VM adds each op's and qualifier's *inclusive*
+/// deltas into a cell indexed by its id. At the end of the call Fold
+/// walks the plan and charges each step its cell minus its children's
+/// cells. The evaluator pays one pointer-null compare per op invocation
+/// when no profiler is attached; all clock/alloc reads happen in
+/// profiled runs only. Not thread-safe: one profiler per evaluator per
 /// thread, like the evaluator itself.
 class PlanProfiler {
  public:
+  /// The evaluator's counters, clock and allocation counts when a
+  /// profiled op or qualifier starts (kept on the VM's own stack).
+  struct Mark {
+    EvalCounters counters;
+    std::chrono::steady_clock::time_point start;
+    AllocCounts alloc;
+  };
+
+  /// A step of the plan tree: op `id`, or qualifier `id` when `qual`.
+  struct Position {
+    bool qual = false;
+    int32_t id = -1;
+  };
+
   PlanProfiler();
   ~PlanProfiler();
   PlanProfiler(const PlanProfiler&) = delete;
   PlanProfiler& operator=(const PlanProfiler&) = delete;
 
-  /// Opens a frame for a path step (counters = the evaluator's counters
-  /// at entry, context_size = |ctx|). Frames nest with recursion.
-  void EnterPath(const PathExpr* p, const EvalCounters& counters,
-                 size_t context_size);
-  /// Opens a frame for a qualifier evaluation at one node.
-  void EnterQual(const Qualifier* q, const EvalCounters& counters);
-  /// Closes the innermost frame; out_size is the step's result-set size
-  /// (for qualifiers: 1 if the predicate held, else 0).
-  void Exit(const EvalCounters& counters, size_t out_size);
+  /// Starts a call: one zeroed cell per op and qualifier of `plan`.
+  void Begin(const CompiledPlan& plan);
 
-  /// The profile collected so far (valid until TakeRoot/Reset).
+  /// Reads the state an invocation's deltas are measured from.
+  Mark Start(const EvalCounters& counters) const;
+
+  /// Adds one invocation of the step at `at` that started at `mark` and
+  /// ended at `counters`, with context size `in` and result size `out`
+  /// (a qualifier: 1, and 1 if it held).
+  void Add(Position at, const Mark& mark, const EvalCounters& counters,
+           size_t in, size_t out);
+
+  /// Ends the call: folds the cells of `plan` into StepProfile nodes
+  /// under root(). Steps that never ran get no node.
+  void Fold(const CompiledPlan& plan);
+
+  /// The profile collected so far (valid until TakeRoot).
   const StepProfile& root() const { return *root_; }
 
-  /// Moves the collected profile out and resets to an empty root. All
-  /// open frames must be closed (the evaluator guarantees this).
+  /// Moves the collected profile out and resets to an empty root.
   std::unique_ptr<StepProfile> TakeRoot();
 
-  void Reset();
-
  private:
-  struct Frame {
-    StepProfile* node = nullptr;
-    EvalCounters enter;
-    std::chrono::steady_clock::time_point start;
-    AllocCounts alloc_enter;
-    // Inclusive totals of already-closed child frames, subtracted from
-    // this frame's inclusive delta to get exclusive (self) costs.
-    EvalCounters child;
-    uint64_t child_nanos = 0;
-    uint64_t child_alloc_bytes = 0;
-    uint64_t child_alloc_count = 0;
-  };
-
-  /// The mirror-tree node for `ast` under the current frame's node (the
-  /// synthetic root when the stack is empty), created on first visit.
-  StepProfile* ChildFor(const void* ast, std::string signature,
-                        std::string axis);
-  void Enter(StepProfile* node, const EvalCounters& counters,
-             size_t context_size);
+  const StepCosts& CellAt(Position at) const {
+    return at.qual ? qual_cells_[at.id] : op_cells_[at.id];
+  }
+  std::unique_ptr<StepProfile> FoldStep(const CompiledPlan& plan,
+                                        Position at) const;
 
   std::unique_ptr<StepProfile> root_;
-  std::vector<Frame> stack_;
+  /// Per-call cells, indexed by op / qualifier id. Their counts are
+  /// inclusive sums (self_nanos unused) until FoldStep copies and
+  /// subtracts them.
+  std::vector<StepCosts> op_cells_;
+  std::vector<StepCosts> qual_cells_;
   bool track_alloc_;
 };
-
-/// Canonical signature/axis of a plan step (exposed for tests; the
-/// profiler derives them lazily on first visit).
-std::string StepSignature(const PathExpr* p);
-std::string StepSignature(const Qualifier* q);
-std::string StepAxis(const PathExpr* p);
 
 /// Aggregate exclusive costs over a profile tree. By construction these
 /// equal the evaluator's EvalCounters deltas for the profiled calls

@@ -3,8 +3,9 @@
 // NodeSet buffers. This file alone defines what evaluation counts (the
 // EvalCounters behind the eval.* metrics), where a QueryBudget is
 // charged (every QueryBudget::kNodeStride node visits, plus the tail at
-// the end of a call) and which profiler frames open (one per op or
-// qualifier invocation with a non-empty context). The reference walk in
+// the end of a call) and what the profiler counts (each op invocation
+// with a non-empty context and each qualifier evaluation, added to the
+// cell of its op id). The reference walk in
 // xpath/evaluator.cc checks its answers, not its counts.
 
 #include <algorithm>
@@ -96,7 +97,7 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
 
   // Per-call resolution: plan label strings -> this tree's interned
   // ids (one hash lookup per distinct label, not per step invocation),
-  // plan constants -> bound strings, first match wins like BindParams.
+  // plan constants -> literal or bound strings.
   std::vector<int>& labels = scratch->label_slots();
   labels.clear();
   for (const std::string& label : plan.labels) {
@@ -104,23 +105,9 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
   }
   std::vector<const std::string*>& consts = scratch->const_slots();
   consts.clear();
-  for (const CompiledPlan::Const& c : plan.consts) {
-    if (!c.is_param) {
-      consts.push_back(&c.value);
-      continue;
-    }
-    const std::string* bound = nullptr;
-    for (const auto& [name, value] : bindings) {
-      if (name == c.value) {
-        bound = &value;
-        break;
-      }
-    }
-    if (bound == nullptr) {
-      return Status::FailedPrecondition(
-          "query contains unbound $parameters; call BindParams first");
-    }
-    consts.push_back(bound);
+  if (!BindPlanConsts(plan, bindings, &consts)) {
+    return Status::FailedPrecondition(
+        "query contains unbound $parameters; call BindParams first");
   }
 
   plan_ = &plan;
@@ -130,11 +117,13 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
 
   EvalCounters before = counters_;
   NodeSet result;
+  if (profiler_ != nullptr) profiler_->Begin(plan);
   {
     BorrowedSet out(*scratch);
     RunOp(plan.root, context, *out);
     result = std::move(*out);
   }
+  if (profiler_ != nullptr) profiler_->Fold(plan);
 
   plan_ = nullptr;
   scratch_ = nullptr;
@@ -157,9 +146,9 @@ void XPathEvaluator::RunOp(int32_t op_idx, const NodeSet& ctx, NodeSet& out) {
     RunOpStep(op_idx, ctx, out);
     return;
   }
-  profiler_->EnterPath(plan_->ops[op_idx].ast, counters_, ctx.size());
+  const PlanProfiler::Mark mark = profiler_->Start(counters_);
   RunOpStep(op_idx, ctx, out);
-  profiler_->Exit(counters_, out.size());
+  profiler_->Add({false, op_idx}, mark, counters_, ctx.size(), out.size());
 }
 
 void XPathEvaluator::RunOpStep(int32_t op_idx, const NodeSet& ctx,
@@ -346,9 +335,9 @@ Status XPathEvaluator::FinishBudget() {
 bool XPathEvaluator::RunQual(int32_t q_idx, NodeId node) {
   if (BudgetTripped()) return false;
   if (profiler_ == nullptr) return RunQualStep(q_idx, node);
-  profiler_->EnterQual(plan_->quals[q_idx].ast, counters_);
-  bool result = RunQualStep(q_idx, node);
-  profiler_->Exit(counters_, result ? 1 : 0);
+  const PlanProfiler::Mark mark = profiler_->Start(counters_);
+  const bool result = RunQualStep(q_idx, node);
+  profiler_->Add({true, q_idx}, mark, counters_, 1, result ? 1 : 0);
   return result;
 }
 

@@ -289,7 +289,8 @@ TEST(ChaosTest, PlanCompileFaultRefusesQueryAndCachesNothing) {
   ASSERT_TRUE(clean.ok()) << clean.status();
   EXPECT_FALSE(clean->stats.cache_hit);
   EXPECT_FALSE(clean->nodes.empty());
-  auto reference = EvaluateAtRoot(doc, clean->evaluated);
+  auto reference =
+      EvaluateAtRoot(doc, BindParams(clean->evaluated, options.bindings));
   ASSERT_TRUE(reference.ok()) << reference.status();
   EXPECT_EQ(clean->nodes, *reference);
   EXPECT_EQ(CounterValue(metrics, "engine.plan.compiles"), 1u);

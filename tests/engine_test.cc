@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/alloc_tracker.h"
+#include "common/failpoint.h"
 #include "engine/engine.h"
+#include "obs/audit.h"
 #include "obs/policy_stats.h"
 #include "obs/trace_store.h"
 #include "workload/hospital.h"
@@ -129,7 +131,7 @@ TEST_F(EngineTest, ExecuteReportsStructuredStats) {
 
 TEST_F(EngineTest, ExecuteMatchesReferenceWalk) {
   // The served answer (compiled plan on the VM) equals the reference
-  // walk of the same bound, evaluated query over the document.
+  // walk of the same evaluated query, bound, over the document.
   ExecuteOptions options;
   options.bindings = {{"wardNo", "3"}};
   for (const char* q : {"//patient/name", "//bill", "//patient//bill",
@@ -138,11 +140,88 @@ TEST_F(EngineTest, ExecuteMatchesReferenceWalk) {
       options.optimize = optimize;
       auto result = engine_->Execute("nurse", doc_, q, options);
       ASSERT_TRUE(result.ok()) << q << ": " << result.status();
-      auto reference = EvaluateAtRoot(doc_, result->evaluated);
+      auto reference =
+          EvaluateAtRoot(doc_, BindParams(result->evaluated, options.bindings));
       ASSERT_TRUE(reference.ok()) << q << ": " << reference.status();
       EXPECT_EQ(result->nodes, *reference) << q << " optimize=" << optimize;
     }
   }
+}
+
+TEST_F(EngineTest, CacheHitServesTheEntrysAstWithoutRebuildingIt) {
+  // The VM binds $wardNo per call, so a hit builds no tree: the result
+  // carries the cache entry's own (unbound) evaluated AST.
+  ExecuteOptions options;
+  options.bindings = {{"wardNo", "3"}};
+  ASSERT_TRUE(engine_->Execute("nurse", doc_, "//patient/name", options).ok());
+  auto hit = engine_->Execute("nurse", doc_, "//patient/name", options);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  ASSERT_TRUE(hit->stats.cache_hit);
+  auto entry = engine_->Rewrite("nurse", "//patient/name", true);
+  ASSERT_TRUE(entry.ok()) << entry.status();
+  EXPECT_EQ(hit->evaluated.get(), entry->get());
+  EXPECT_NE(ToXPathString(hit->evaluated).find("$wardNo"), std::string::npos);
+}
+
+TEST_F(EngineTest, MissingBindingIsRefusedBeforeEvaluation) {
+  const std::string message =
+      "the policy's qualifiers have unbound $parameters; pass them in "
+      "ExecuteOptions::bindings";
+  ExecuteOptions options;
+  options.bindings = {{"ward", "3"}};  // not the policy's $wardNo
+  auto refused = engine_->Execute("nurse", doc_, "//patient/name", options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(refused.status().message(), message);
+
+  // The check runs before the alloc.evaluate fault point: an armed
+  // fault does not turn the refusal into ResourceExhausted.
+  FailPointRegistry& registry = FailPointRegistry::Instance();
+  ASSERT_TRUE(registry.ArmFromSpec("alloc.evaluate=every:1").ok());
+  auto armed = engine_->Execute("nurse", doc_, "//patient/name", options);
+  registry.DisarmAll();
+  ASSERT_FALSE(armed.ok());
+  EXPECT_EQ(armed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(armed.status().message(), message);
+}
+
+/// Keeps every audit event an engine records, as JSON.
+class CapturingAuditSink : public obs::AuditSink {
+ public:
+  void Record(const obs::AuditEvent& event) override {
+    lines.push_back(event.ToJson());
+  }
+  std::vector<obs::Json> lines;
+};
+
+/// An audit line with its wall-clock fields dropped.
+std::string AuditLineWithoutTimings(const obs::Json& line) {
+  obs::Json out = obs::Json::Object();
+  for (const auto& [key, value] : line.members()) {
+    if (key != "unix_micros" && key != "micros") out.Set(key, value);
+  }
+  return out.Dump(false);
+}
+
+TEST_F(EngineTest, AuditLinesOfBoundAndUnboundRequestsAreUnchanged) {
+  constexpr char kBoundLine[] =
+      R"json({"schema":"secview.audit.v1","seq":0,"policy":"nurse","query":"//patient//bill","outcome":"ok","status":"OK","rewritten":"dept[*/patient/wardNo = $wardNo]/(clinicalTrial/patientInfo | patientInfo)/patient/treatment/(trial | regular)/bill","evaluated":"dept/.[patientInfo/patient/wardNo = \"3\"]/(clinicalTrial/patientInfo | patientInfo)/patient/treatment/(trial | regular)/bill","results":2,"cache_hit":false,"unfold_depth":0,"ast":{"rewritten":25,"evaluated":27},"cost":{"nodes_touched":32,"predicate_evals":1},"dp":{"rewrite_entries":26,"optimize_entries":27},"prunes":{"nonexistence":2,"simulation_tests":4,"union":0}})json";
+  constexpr char kUnboundLine[] =
+      R"json({"schema":"secview.audit.v1","seq":0,"policy":"nurse","query":"//patient//bill","outcome":"denied","status":"FailedPrecondition","error":"the policy's qualifiers have unbound $parameters; pass them in ExecuteOptions::bindings","rewritten":"dept[*/patient/wardNo = $wardNo]/(clinicalTrial/patientInfo | patientInfo)/patient/treatment/(trial | regular)/bill","evaluated":"","results":0,"cache_hit":true,"unfold_depth":0,"ast":{"rewritten":0,"evaluated":0},"cost":{"nodes_touched":0,"predicate_evals":0},"dp":{"rewrite_entries":0,"optimize_entries":0},"prunes":{"nonexistence":0,"simulation_tests":0,"union":0}})json";
+  // The audit line prints the evaluated query bound, as it ran; the
+  // expected lines were recorded when Execute still bound the AST per
+  // request.
+  CapturingAuditSink sink;
+  ExecuteOptions options;
+  options.audit = &sink;
+  options.bindings = {{"wardNo", "3"}};
+  ASSERT_TRUE(engine_->Execute("nurse", doc_, "//patient//bill", options).ok());
+  options.bindings.clear();
+  ASSERT_FALSE(
+      engine_->Execute("nurse", doc_, "//patient//bill", options).ok());
+  ASSERT_EQ(sink.lines.size(), 2u);
+  EXPECT_EQ(AuditLineWithoutTimings(sink.lines[0]), kBoundLine);
+  EXPECT_EQ(AuditLineWithoutTimings(sink.lines[1]), kUnboundLine);
 }
 
 TEST_F(EngineTest, PlanCompilesOncePerEntryAndMetricsTrackResidency) {

@@ -1,11 +1,15 @@
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cli/cli.h"
 #include "common/budget.h"
 #include "dtd/dtd_parser.h"
 #include "engine/engine.h"
@@ -169,6 +173,56 @@ TEST(HostileXPathTest, GiantPredicateIsRejectedByTokenBudget) {
   EXPECT_EQ(ParseXPath(query, limits).status().code(),
             StatusCode::kOutOfRange);
   EXPECT_TRUE(ParseXPath(query).ok());
+}
+
+TEST(HostileXPathTest, LongSlashChainIsRejectedByDepthLimit) {
+  // 20,000 steps is ~100 KB, inside the input and token limits, but a
+  // left-deep '/' chain that long would overflow the stack in the
+  // rewriter's recursive normalization; each extra operand counts as one
+  // level of nesting.
+  std::string chain = "dept";
+  for (int i = 1; i < 20'000; ++i) chain += "/dept";
+  auto parsed = ParseXPath(chain);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kOutOfRange)
+      << parsed.status();
+  // Every chain production counts: '//', '|', '[q]', 'and', 'or'.
+  std::string desc = "dept";
+  std::string unions = "dept";
+  std::string filters = "dept";
+  std::string conjunction = "dept[a";
+  std::string disjunction = "dept[a";
+  for (int i = 1; i < 1'000; ++i) {
+    desc += "//dept";
+    unions += " | dept";
+    filters += "[a]";
+    conjunction += " and a";
+    disjunction += " or a";
+  }
+  conjunction += "]";
+  disjunction += "]";
+  for (const std::string& query :
+       {desc, unions, filters, conjunction, disjunction}) {
+    EXPECT_EQ(ParseXPath(query).status().code(), StatusCode::kOutOfRange)
+        << query.substr(0, 40);
+  }
+
+  // The CLI refuses the same query with a clean error, not a crash.
+  const std::string dir = testing::TempDir() + "/secview_hardening_chain";
+  const std::string dtd = dir + ".dtd";
+  const std::string spec = dir + ".spec";
+  std::ofstream(dtd) << "<!ELEMENT hospital (dept)*>\n"
+                        "<!ELEMENT dept (#PCDATA)>\n";
+  std::ofstream(spec) << "ann(hospital, dept) = Y\n";
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunCli({"rewrite", "--dtd", dtd, "--spec", spec, "--query", chain,
+                    "--no-optimize"},
+                   out, err),
+            1);
+  EXPECT_NE(err.str().find("OutOfRange"), std::string::npos) << err.str();
+  std::remove(dtd.c_str());
+  std::remove(spec.c_str());
 }
 
 TEST(HostileXPathTest, OversizedInputIsRejectedUpfront) {

@@ -329,7 +329,8 @@ TEST(PlanCompilerTest, LoweringDeduplicatesLabelsAndSizesItself) {
   EXPECT_GE(plan->ops.size(), 5u);
   EXPECT_EQ(plan->root, static_cast<int32_t>(plan->ops.size()) - 1);
   EXPECT_FALSE(plan->uses_index);
-  EXPECT_EQ(plan->source.get(), p.get());
+  // The plan is self-contained: it holds no reference to its AST.
+  EXPECT_EQ(p.use_count(), 1);
   EXPECT_GT(plan->byte_size(), sizeof(CompiledPlan));
   // "patient" occurs twice in the query but once in the label table.
   int patients = 0;

@@ -1,16 +1,23 @@
 #include "xpath/profiler.h"
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "obs/metrics.h"
 #include "obs/plan_profile.h"
+#include "workload/adex.h"
+#include "workload/generator.h"
+#include "workload/hospital.h"
 #include "xml/parser.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
 #include "xpath/plan.h"
+#include "xpath/printer.h"
 
 #include "profiler_corpus.h"
 
@@ -298,6 +305,121 @@ TEST(PlanProfilerTest, ValidatorRejectsBrokenSumInvariant) {
   counters->Set("nodes_touched",
                 obs::Json(counters->Find("nodes_touched")->AsNumber() + 1));
   EXPECT_FALSE(obs::ValidateProfileLine(line.Dump(false)).ok());
+}
+
+// -- Golden profiles ---------------------------------------------------------
+
+/// 64-bit FNV-1a over a sequence of strings, each closed by a 0xff byte.
+class Fnv1a {
+ public:
+  void Add(std::string_view text) {
+    for (unsigned char c : text) Mix(c);
+    Mix(0xff);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Mix(unsigned char c) {
+    hash_ ^= c;
+    hash_ *= 0x100000001b3ULL;
+  }
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// `j` with its wall-clock and allocation fields zeroed: those vary run
+/// to run, everything else in a profile is a function of plan and tree.
+obs::Json ZeroVolatileFields(const obs::Json& j) {
+  if (j.is_array()) {
+    obs::Json out = obs::Json::Array();
+    for (const obs::Json& item : j.items()) {
+      out.Append(ZeroVolatileFields(item));
+    }
+    return out;
+  }
+  if (!j.is_object()) return j;
+  obs::Json out = obs::Json::Object();
+  for (const auto& [key, value] : j.members()) {
+    if (key == "self_nanos" || key == "total_nanos" || key == "alloc_bytes" ||
+        key == "alloc_count") {
+      out.Set(key, obs::Json(0));
+    } else {
+      out.Set(key, ZeroVolatileFields(value));
+    }
+  }
+  return out;
+}
+
+/// Runs each query through `engine` with profiling on (optimized, so
+/// the profiled plan is the one served) and hashes the per-query plan
+/// trees of their secview.profile.v1 lines.
+uint64_t HashProfiledPlans(SecureQueryEngine& engine, const std::string& policy,
+                           const XmlTree& doc,
+                           const std::vector<std::string>& queries,
+                           const ExecuteOptions& options) {
+  Fnv1a hash;
+  for (const std::string& query : queries) {
+    auto result = engine.Execute(policy, doc, query, options);
+    EXPECT_TRUE(result.ok()) << query << ": " << result.status();
+    if (!result.ok() || result->profile == nullptr) continue;
+    obs::Json line = ProfileLineJson(*result->profile, policy, query, 0);
+    hash.Add(query);
+    hash.Add(ZeroVolatileFields(*line.Find("plan")).Dump(false));
+  }
+  return hash.value();
+}
+
+// The profile of a query is a function of its plan and the document:
+// which steps ran, how often, over how many nodes. These hashes pin the
+// plan trees and the /profilez rollup of the profiler corpus over the
+// nurse view and of Table 1 over the Adex view, so a change to how the
+// profile is collected must leave every tree as it was.
+TEST(PlanProfilerGoldenTest, NurseCorpusAndAdexTable1) {
+  obs::PlanProfileTable table;
+  ExecuteOptions options;
+  options.profile = true;
+
+  auto nurse = SecureQueryEngine::Create(MakeHospitalDtd());
+  ASSERT_TRUE(nurse.ok()) << nurse.status();
+  auto nurse_spec = MakeNurseSpec((*nurse)->dtd());
+  ASSERT_TRUE(nurse_spec.ok()) << nurse_spec.status();
+  ASSERT_TRUE((*nurse)->RegisterPolicy("nurse", *nurse_spec).ok());
+  (*nurse)->AttachPlanProfiles(&table);
+  auto hospital =
+      GenerateDocument((*nurse)->dtd(), HospitalGeneratorOptions(11, 40'000));
+  ASSERT_TRUE(hospital.ok()) << hospital.status();
+  options.bindings = {{"wardNo", "3"}};
+  const uint64_t nurse_hash =
+      HashProfiledPlans(**nurse, "nurse", *hospital, ProfilerCorpus(), options);
+
+  auto adex = SecureQueryEngine::Create(MakeAdexDtd());
+  ASSERT_TRUE(adex.ok()) << adex.status();
+  auto adex_spec = MakeAdexSpec((*adex)->dtd());
+  ASSERT_TRUE(adex_spec.ok()) << adex_spec.status();
+  ASSERT_TRUE((*adex)->RegisterPolicy("adex", *adex_spec).ok());
+  (*adex)->AttachPlanProfiles(&table);
+  auto ads = GenerateDocument((*adex)->dtd(), AdexGeneratorOptions(7, 40'000, 4));
+  ASSERT_TRUE(ads.ok()) << ads.status();
+  auto table1 = MakeAdexQueries();
+  ASSERT_TRUE(table1.ok()) << table1.status();
+  std::vector<std::string> table1_text;
+  for (const auto& [name, q] : table1->All()) {
+    table1_text.push_back(ToXPathString(q));
+  }
+  options.bindings.clear();
+  const uint64_t adex_hash =
+      HashProfiledPlans(**adex, "adex", *ads, table1_text, options);
+
+  EXPECT_EQ(table.queries(), ProfilerCorpus().size() + table1_text.size());
+  const std::string rollup =
+      ZeroVolatileFields(obs::PlanProfileJson(table.Snapshot(),
+                                              table.queries()))
+          .Dump(false);
+  Fnv1a rollup_hash;
+  rollup_hash.Add(rollup);
+
+  EXPECT_EQ(nurse_hash, 0x28421536b805f532ULL);
+  EXPECT_EQ(adex_hash, 0x8ed590382b110f47ULL);
+  EXPECT_EQ(rollup_hash.value(), 0xc87eb8aa2b26b478ULL);
 }
 
 }  // namespace
