@@ -30,9 +30,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 scripts/audit_smoke.sh "$BUILD_DIR"
 
-# Live-telemetry smoke: `serve` on an ephemeral port, all four endpoints
-# scraped through the built-in client (/metrics grammar-validated), then
-# a SIGINT shutdown — under ASan, so the socket paths get leak-checked.
+# Live-telemetry smoke: `serve` on an ephemeral port, its endpoints
+# scraped through the built-in client (/metrics grammar-validated, /memz
+# in text and secview.mem.v2 JSON), then a SIGINT shutdown — under ASan,
+# so the socket paths get leak-checked.
 scripts/telemetry_smoke.sh "$BUILD_DIR"
 
 # Request-tracing smoke: serve with --trace-sample 1, scrape /tracez in
@@ -45,15 +46,6 @@ scripts/trace_smoke.sh "$BUILD_DIR"
 # through profile-top, and an off-mode throughput sanity A/B. Export
 # SECVIEW_BASELINE_BIN=<pre-profiler secview> for a strict 2% gate.
 scripts/profile_smoke.sh "$BUILD_DIR"
-
-# Memory-observatory smoke: serve --heap-sample, scrape /heapz (text and
-# secview.heap.v2 JSON) and /memz (the RSS / peak-RSS process line),
-# round-trip the profile through `heap-export`, and a sampling-off vs
-# sampling-on throughput sanity A/B. Under this ASan build the profiler
-# refuses to sample (skip notice) and the script degrades to the
-# endpoint and export checks. Export
-# SECVIEW_BASELINE_BIN=<pre-observatory secview> for a strict 2% gate.
-scripts/heap_smoke.sh "$BUILD_DIR"
 
 # Chaos smoke: serve with failpoints armed hard enough to drop every
 # audit record and fail most evaluations, observe degraded /healthz and
@@ -73,7 +65,9 @@ echo "== chaos suite under ASan =="
 # The allocation tracker replaces global operator new/delete; run its
 # unit suite under the ASan build by name to prove the hooks compose
 # with the sanitizer's malloc interposition (forwarding to std::malloc
-# keeps ASan's redzones and leak checking intact).
+# keeps ASan's redzones and leak checking intact) and, through ASan's
+# alloc-dealloc-mismatch check, that every delete the suite calls is
+# one of ours.
 echo "== alloc tracker under ASan =="
 "$BUILD_DIR"/tests/common_test --gtest_filter='AllocTracker*'
 
@@ -110,9 +104,8 @@ cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
 "$TSAN_BUILD_DIR"/tests/telemetry_test
 "$TSAN_BUILD_DIR"/tests/chaos_test
 # heap_test races ledger charges, scratch-pool publication, and snapshot
-# scrapes against each other; the sampling profiler itself auto-skips
-# under TSan (it cannot compose with the interposed allocator), so this
-# run proves the ledger and scratch-pool accounting is race-free.
+# scrapes against each other, so this run proves the ledger and
+# scratch-pool accounting is race-free.
 "$TSAN_BUILD_DIR"/tests/heap_test
 
 # End-to-end correctness gate: one short run of each perfbench workload

@@ -2,8 +2,10 @@
 # End-to-end smoke test of the live telemetry endpoint: start `secview
 # serve` on an ephemeral localhost port with a replayed workload, then
 # scrape /healthz, /metrics (validated against the Prometheus text
-# grammar by the CLI itself), /varz, and /statusz through the built-in
-# HTTP client, and finally let the server wind down cleanly.
+# grammar by the CLI itself), /varz, /statusz, and /memz (the process
+# RSS line and the subsystem ledger, in text and secview.mem.v2 JSON)
+# through the built-in HTTP client, and finally let the server wind
+# down cleanly.
 #
 # Usage: scripts/telemetry_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -134,17 +136,18 @@ echo "$STATUSZ" | grep -q 'last 10s:' || {
 echo "$STATUSZ" | grep -q 'query=//patient//bill' || {
   echo "telemetry_smoke: /statusz missing slow-query entries" >&2; exit 1; }
 
-echo "== /heapz =="
-HEAPZ="$("$SECVIEW" scrape --port "$PORT" --retries 3 --path /heapz)"
-echo "$HEAPZ" | grep -q 'process: rss [0-9]*B, peak rss [0-9]*B' || {
-  echo "telemetry_smoke: /heapz missing process RSS line" >&2; exit 1; }
-
 echo "== /memz =="
 MEMZ="$("$SECVIEW" scrape --port "$PORT" --retries 3 --path /memz)"
+echo "$MEMZ" | grep -q 'process: rss [0-9]*B, peak rss [0-9]*B' || {
+  echo "telemetry_smoke: /memz missing process RSS line" >&2; exit 1; }
 echo "$MEMZ" | grep -q 'memory ledger' || {
   echo "telemetry_smoke: /memz missing ledger" >&2; exit 1; }
 echo "$MEMZ" | grep -q 'xml.doc:' || {
   echo "telemetry_smoke: /memz missing the document account" >&2; exit 1; }
+MEMZ_JSON="$("$SECVIEW" scrape --port "$PORT" --retries 3 \
+  --path '/memz?format=json')"
+echo "$MEMZ_JSON" | grep -q '"schema": "secview.mem.v2"' || {
+  echo "telemetry_smoke: /memz JSON missing schema tag" >&2; exit 1; }
 
 echo "== graceful shutdown (SIGINT) =="
 kill -INT "$SERVE_PID"
@@ -156,4 +159,4 @@ grep -q '# served' "$WORK/serve.out" || {
   exit 1
 }
 
-echo "telemetry_smoke: OK (all four endpoints live, clean shutdown)"
+echo "telemetry_smoke: OK (endpoints live, clean shutdown)"

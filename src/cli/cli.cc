@@ -32,8 +32,6 @@
 #include "net/telemetry_server.h"
 #include "obs/audit.h"
 #include "obs/export.h"
-#include "obs/heap_export.h"
-#include "obs/heap_profile.h"
 #include "obs/mem_ledger.h"
 #include "obs/metrics.h"
 #include "obs/plan_profile.h"
@@ -86,7 +84,6 @@ usage:
                       [--deadline-ms N] [--max-nodes N] [--queue-cap N]
                       [--telemetry-addr HOST:PORT] [--port-file FILE]
                       [--slow-query-micros N] [--trace-sample N] [--profile]
-                      [--heap-sample BYTES]
   secview serve       --dtd FILE --spec FILE --xml FILE
                       [--telemetry-addr HOST:PORT] [--port-file FILE]
                       [--queries FILE [--replay-delay-ms N]]
@@ -96,12 +93,10 @@ usage:
                       [--no-optimize]
                       [--audit-log FILE [--audit-max-bytes N]]
                       [--deadline-ms N] [--max-nodes N] [--profile]
-                      [--heap-sample BYTES]
   secview scrape      (--addr HOST:PORT | --port N) [--path TARGET]
                       [--validate-prom] [--timeout-ms N] [--retries N]
   secview trace-export --in FILE [--chrome] [--out FILE] [--validate]
   secview profile-top --in FILE [--k N]
-  secview heap-export --in FILE [--k N] [--collapsed | --json] [--out FILE]
   secview materialize --dtd FILE --spec FILE --xml FILE [--bind NAME=VALUE]...
   secview generate    --dtd FILE [--bytes N] [--seed N] [--branch N]
   secview help
@@ -209,17 +204,8 @@ Memory observatory (docs/observability.md): every process exports its
 RSS and peak RSS on /metrics, /statusz, and /memz, which also
 renders the subsystem memory ledger — exact per-subsystem byte
 attribution for the loaded document, the rewrite cache, the per-thread
-eval-scratch arenas, and the trace/slow-query rings. `serve
---heap-sample BYTES` (also on bench-serve) additionally starts the
-sampled allocation-site profiler at one sample per BYTES allocated
-(65536 is a good default), served at /heapz (text; ?k=N bounds the
-table), /heapz?format=json (secview.heap.v2), and
-/heapz?format=collapsed (folded stacks for flamegraph.pl/speedscope).
-Sampling refuses to start under sanitizer builds (a skip notice is
-printed; serving continues). `heap-export --in FILE` validates a
-secview.heap.v2 file and re-renders it offline: the top-K text table
-by default (--k, default 20), folded stacks with --collapsed, or
-normalized JSON with --json.
+eval-scratch arenas, and the trace/slow-query rings;
+/memz?format=json returns the same as secview.mem.v2.
 )";
 
 /// Parsed command line: flags with values, boolean switches, repeated
@@ -234,7 +220,7 @@ struct Args {
 /// Flags that stand alone.
 constexpr std::string_view kSwitches[] = {
     "--show-sigma", "--no-optimize", "--extract", "--stats", "--json",
-    "--validate-prom", "--chrome", "--validate", "--profile", "--collapsed",
+    "--validate-prom", "--chrome", "--validate", "--profile",
 };
 
 /// Flags that take the next argument as their value. Any other `--flag`
@@ -242,7 +228,7 @@ constexpr std::string_view kSwitches[] = {
 /// argument after it.
 constexpr std::string_view kValuedFlags[] = {
     "--addr", "--audit-log", "--audit-max-bytes", "--branch", "--bytes",
-    "--deadline-ms", "--dtd", "--failpoints", "--heap-sample", "--height",
+    "--deadline-ms", "--dtd", "--failpoints", "--height",
     "--in", "--k", "--log", "--max-nodes", "--max-parse-depth", "--max-seconds",
     "--metrics-prom", "--metrics-snapshot-dir", "--out", "--path", "--port",
     "--port-file", "--profile-json", "--queries", "--query", "--queue-cap",
@@ -950,54 +936,13 @@ Result<std::unique_ptr<TelemetryBundle>> StartTelemetry(
                                                           server_options);
   SECVIEW_RETURN_IF_ERROR(bundle->server->Start());
   out << "# telemetry: http://" << addr.first << ":" << bundle->server->port()
-      << " (/metrics /varz /healthz /statusz /tracez /profilez /heapz "
-         "/memz)\n";
+      << " (/metrics /varz /healthz /statusz /tracez /profilez /memz)\n";
   auto port_file = args.values.find("--port-file");
   if (port_file != args.values.end()) {
     SECVIEW_RETURN_IF_ERROR(
         WritePortFile(port_file->second, bundle->server->port()));
   }
   return bundle;
-}
-
-/// Stops the process-wide heap profiler when the command that started
-/// it ends, so in-process callers (tests) never leak sampling into the
-/// next command.
-struct HeapProfileGuard {
-  bool active = false;
-  HeapProfileGuard() = default;
-  HeapProfileGuard(const HeapProfileGuard&) = delete;
-  HeapProfileGuard& operator=(const HeapProfileGuard&) = delete;
-  ~HeapProfileGuard() {
-    if (active) obs::HeapProfiler::Instance().Stop();
-  }
-};
-
-/// Starts the sampled allocation-site profiler when --heap-sample BYTES
-/// is present. A refusal to start under a sanitizer build is a skip
-/// notice, not an error — the command keeps serving without sampling.
-Status MaybeStartHeapProfiler(const Args& args, std::ostream& out,
-                              HeapProfileGuard* guard) {
-  auto it = args.values.find("--heap-sample");
-  if (it == args.values.end()) return Status::OK();
-  SECVIEW_ASSIGN_OR_RETURN(uint64_t interval,
-                           ParseCount("--heap-sample", it->second));
-  if (interval == 0) {
-    return Status::InvalidArgument("--heap-sample must be >= 1 byte");
-  }
-  obs::HeapProfileOptions options;
-  options.sample_interval_bytes = interval;
-  Status started = obs::HeapProfiler::Instance().Start(options);
-  if (!started.ok()) {
-    if (started.code() == StatusCode::kFailedPrecondition) {
-      out << "# heap profiler skipped: " << started.message() << "\n";
-      return Status::OK();
-    }
-    return started;
-  }
-  guard->active = true;
-  out << "# heap profiler: sampling 1/" << interval << "B (see /heapz)\n";
-  return Status::OK();
 }
 
 /// SIGINT/SIGTERM latch for `serve` — a plain flag is all a signal
@@ -1042,8 +987,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
   SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
                            LoadEngine(args));
   ScopedFailpointMetrics failpoint_metrics(&engine->metrics());
-  HeapProfileGuard heap_guard;
-  SECVIEW_RETURN_IF_ERROR(MaybeStartHeapProfiler(args, out, &heap_guard));
 
   std::vector<std::string> queries;
   if (args.values.count("--queries")) {
@@ -1193,8 +1136,6 @@ Status CmdBenchServe(const Args& args, std::ostream& out) {
   ScopedFailpointMetrics failpoint_metrics(&engine->metrics());
   obs::ScopedLedgerCharge doc_charge(
       "xml.doc", static_cast<int64_t>(doc.MemoryFootprintBytes()));
-  HeapProfileGuard heap_guard;
-  SECVIEW_RETURN_IF_ERROR(MaybeStartHeapProfiler(args, out, &heap_guard));
 
   SECVIEW_ASSIGN_OR_RETURN(uint64_t threads_n, CountFlag(args, "--threads", 0));
   if (args.values.count("--threads") && threads_n < 1) {
@@ -1344,41 +1285,6 @@ Status CmdTraceExport(const Args& args, std::ostream& out) {
   return Status::OK();
 }
 
-Status CmdHeapExport(const Args& args, std::ostream& out) {
-  SECVIEW_ASSIGN_OR_RETURN(std::string in_path, Required(args, "--in"));
-  SECVIEW_ASSIGN_OR_RETURN(std::string text, ReadFile(in_path));
-  // Every run validates: parsing rejects anything that is not a
-  // well-formed secview.heap.v2 document.
-  SECVIEW_ASSIGN_OR_RETURN(obs::HeapProfileSnapshot snapshot,
-                           obs::ParseHeapProfileJson(text));
-  if (args.switches.count("--collapsed") && args.switches.count("--json")) {
-    return Status::InvalidArgument(
-        "heap-export takes --collapsed or --json, not both");
-  }
-  SECVIEW_ASSIGN_OR_RETURN(uint64_t k, CountFlag(args, "--k", 20));
-  std::string body;
-  if (args.switches.count("--collapsed")) {
-    body = obs::RenderHeapProfileCollapsed(snapshot);
-  } else if (args.switches.count("--json")) {
-    body = obs::HeapProfileJson(snapshot).Dump(true);
-    body += "\n";
-  } else {
-    body = obs::RenderHeapProfileText(snapshot, static_cast<size_t>(k));
-  }
-  auto out_flag = args.values.find("--out");
-  if (out_flag == args.values.end() || out_flag->second == "-") {
-    out << body;
-    return Status::OK();
-  }
-  std::ofstream file(out_flag->second, std::ios::binary);
-  if (!file) return Status::Internal("cannot open " + out_flag->second);
-  file << body;
-  if (!file.good()) {
-    return Status::Internal("failed writing " + out_flag->second);
-  }
-  return Status::OK();
-}
-
 Status CmdProfileTop(const Args& args, std::ostream& out) {
   SECVIEW_ASSIGN_OR_RETURN(std::string in_path, Required(args, "--in"));
   SECVIEW_ASSIGN_OR_RETURN(std::string text, ReadFile(in_path));
@@ -1517,8 +1423,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     status = CmdTraceExport(*parsed, out);
   } else if (parsed->command == "profile-top") {
     status = CmdProfileTop(*parsed, out);
-  } else if (parsed->command == "heap-export") {
-    status = CmdHeapExport(*parsed, out);
   } else if (parsed->command == "materialize") {
     status = CmdMaterialize(*parsed, out);
   } else if (parsed->command == "generate") {

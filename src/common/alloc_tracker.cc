@@ -17,11 +17,6 @@ namespace {
 // static initialization, before main).
 thread_local AllocCounts tls_counts;
 
-// Observer hooks (sampled heap profiler). Two independent atomics —
-// see SetHeapHooks in the header for the swap semantics.
-std::atomic<alloc_internal::AllocHook> g_alloc_hook{nullptr};
-std::atomic<alloc_internal::FreeHook> g_free_hook{nullptr};
-
 // Page size cache for the async-signal-safe RSS reader. Warmed by
 // ProcessResidentBytes(); the 4096 fallback only matters if a crash
 // happens before anything ever read the RSS.
@@ -81,11 +76,6 @@ uint64_t PeakResidentBytesRaw() {
   return 0;
 }
 
-void SetHeapHooks(AllocHook on_alloc, FreeHook on_free) {
-  g_alloc_hook.store(on_alloc, std::memory_order_relaxed);
-  g_free_hook.store(on_free, std::memory_order_relaxed);
-}
-
 }  // namespace alloc_internal
 
 AllocCounts ThreadAllocCounts() { return tls_counts; }
@@ -133,15 +123,6 @@ bool AllocTrackingAvailable() {
 
 namespace {
 
-using secview::alloc_internal::AllocHook;
-using secview::alloc_internal::FreeHook;
-
-inline void NotifyAlloc(void* ptr, std::size_t size) {
-  if (AllocHook hook = secview::g_alloc_hook.load(std::memory_order_relaxed)) {
-    hook(ptr, size);
-  }
-}
-
 void* TrackedAlloc(std::size_t size) {
   secview::alloc_internal::Charge(size);
   return std::malloc(size == 0 ? 1 : size);
@@ -155,102 +136,80 @@ void* TrackedAllocAligned(std::size_t size, std::size_t align) {
   return ptr;
 }
 
-void TrackedFree(void* ptr) noexcept {
-  if (ptr == nullptr) return;
-  // Observe before releasing: the profiler hashes the pointer to find
-  // its sample record, and the address must not be recycled (by a
-  // concurrent malloc of the same block) until the record is gone.
-  if (FreeHook hook = secview::g_free_hook.load(std::memory_order_relaxed)) {
-    hook(ptr);
-  }
-  std::free(ptr);
-}
-
 }  // namespace
 
 void* operator new(std::size_t size) {
   void* ptr = TrackedAlloc(size);
   if (ptr == nullptr) throw std::bad_alloc();
-  NotifyAlloc(ptr, size);
   return ptr;
 }
 
 void* operator new[](std::size_t size) {
   void* ptr = TrackedAlloc(size);
   if (ptr == nullptr) throw std::bad_alloc();
-  NotifyAlloc(ptr, size);
   return ptr;
 }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  void* ptr = TrackedAlloc(size);
-  if (ptr != nullptr) NotifyAlloc(ptr, size);
-  return ptr;
+  return TrackedAlloc(size);
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  void* ptr = TrackedAlloc(size);
-  if (ptr != nullptr) NotifyAlloc(ptr, size);
-  return ptr;
+  return TrackedAlloc(size);
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
   void* ptr = TrackedAllocAligned(size, static_cast<std::size_t>(align));
   if (ptr == nullptr) throw std::bad_alloc();
-  NotifyAlloc(ptr, size);
   return ptr;
 }
 
 void* operator new[](std::size_t size, std::align_val_t align) {
   void* ptr = TrackedAllocAligned(size, static_cast<std::size_t>(align));
   if (ptr == nullptr) throw std::bad_alloc();
-  NotifyAlloc(ptr, size);
   return ptr;
 }
 
 void* operator new(std::size_t size, std::align_val_t align,
                    const std::nothrow_t&) noexcept {
-  void* ptr = TrackedAllocAligned(size, static_cast<std::size_t>(align));
-  if (ptr != nullptr) NotifyAlloc(ptr, size);
-  return ptr;
+  return TrackedAllocAligned(size, static_cast<std::size_t>(align));
 }
 
 void* operator new[](std::size_t size, std::align_val_t align,
                      const std::nothrow_t&) noexcept {
-  void* ptr = TrackedAllocAligned(size, static_cast<std::size_t>(align));
-  if (ptr != nullptr) NotifyAlloc(ptr, size);
-  return ptr;
+  return TrackedAllocAligned(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* ptr) noexcept { TrackedFree(ptr); }
-void operator delete[](void* ptr) noexcept { TrackedFree(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { TrackedFree(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { TrackedFree(ptr); }
+// The deletes are replaced too, although they only free: a program that
+// replaces operator new must replace the matching operator delete, so
+// every pointer from the wrappers above goes back through std::free.
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 void operator delete(void* ptr, const std::nothrow_t&) noexcept {
-  TrackedFree(ptr);
+  std::free(ptr);
 }
 void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
-  TrackedFree(ptr);
+  std::free(ptr);
 }
-void operator delete(void* ptr, std::align_val_t) noexcept {
-  TrackedFree(ptr);
-}
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
 void operator delete[](void* ptr, std::align_val_t) noexcept {
-  TrackedFree(ptr);
+  std::free(ptr);
 }
 void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
-  TrackedFree(ptr);
+  std::free(ptr);
 }
 void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
-  TrackedFree(ptr);
+  std::free(ptr);
 }
 void operator delete(void* ptr, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  TrackedFree(ptr);
+  std::free(ptr);
 }
 void operator delete[](void* ptr, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  TrackedFree(ptr);
+  std::free(ptr);
 }
 
 #endif  // SECVIEW_ALLOC_TRACKER

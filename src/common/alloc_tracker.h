@@ -22,12 +22,9 @@ namespace secview {
 /// calls requested via operator new on this thread since thread start.
 /// Monotone by design — deallocations are not subtracted — because
 /// per-query churn is what the engine's phase breakdown and the
-/// evaluate-allocation gate in scripts/check.sh measure. No hook writes
-/// a shared counter; the
-/// only shared reads are the two relaxed observer-pointer loads that the
-/// sampled heap profiler (obs/heap_profile) installs through
-/// SetHeapHooks. Process-wide memory comes from the kernel instead:
-/// ProcessResidentBytes and ProcessPeakResidentBytes.
+/// evaluate-allocation gate in scripts/check.sh measure. No hook reads
+/// or writes shared state. Process-wide memory comes from the kernel
+/// instead: ProcessResidentBytes and ProcessPeakResidentBytes.
 ///
 /// The API below is always available; with the option OFF the counters
 /// simply stay zero and AllocTrackingAvailable() reports false, so
@@ -102,20 +99,6 @@ uint64_t ResidentBytesRaw();
 /// Async-signal-safe peak RSS: the VmHWM line of /proc/self/status, read
 /// with raw open/read/close; 0 when unavailable.
 uint64_t PeakResidentBytesRaw();
-
-/// Process-wide allocation observer, consumed by the sampled heap
-/// profiler (obs/heap_profile). `on_alloc` fires after a successful
-/// allocation with the user pointer and *requested* byte count;
-/// `on_free` fires for every non-null deallocation before the memory is
-/// released, so the pointer is still valid to hash/look up. Both must be
-/// reentrancy-safe: an observer that itself allocates re-enters the
-/// hooks (observers guard with a thread-local flag). Pass nullptrs to
-/// detach. The two pointers are independent relaxed atomics: hooks may
-/// fire a stale observer briefly after a swap, so observers must accept
-/// calls shortly after detach.
-using AllocHook = void (*)(void* ptr, std::size_t bytes);
-using FreeHook = void (*)(void* ptr);
-void SetHeapHooks(AllocHook on_alloc, FreeHook on_free);
 
 }  // namespace alloc_internal
 

@@ -87,6 +87,13 @@ Result<FetchedResponse> HttpGetOnce(const std::string& host, uint16_t port,
     raw.append(buf, static_cast<size_t>(n));
   }
   ::close(fd);
+  // A peer that closes without a byte of response (a dropped accept, a
+  // lost send) gave no answer: that is a transport failure to retry, not
+  // a malformed response. Whether it shows as a reset or as this EOF
+  // depends only on timing.
+  if (raw.empty()) {
+    return Status::Internal("connection closed before a response");
+  }
 
   // Status line: "HTTP/1.1 NNN Reason".
   size_t sp = raw.find(' ');

@@ -15,8 +15,9 @@ struct FetchedResponse {
 };
 
 /// Fetch parameters, including the bounded-retry policy. Retries cover
-/// transport failures (connect refused/reset, read timeout, injected
-/// `net.connect` faults) with capped exponential backoff plus a seeded
+/// transport failures (connect refused/reset, a connection closed before
+/// any response byte, read timeout, injected `net.connect` faults) with
+/// capped exponential backoff plus a seeded
 /// deterministic jitter; InvalidArgument failures (bad host, malformed
 /// response) are not retried — repeating those cannot help.
 struct HttpGetOptions {

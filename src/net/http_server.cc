@@ -234,14 +234,11 @@ void HttpServer::HandleConnection(int fd) {
   bool complete = false;
   bool timed_out = false;
   bool overflow = false;
-  bool io_error = false;
-  while (!complete) {
-    if (recv_fault.Fire()) {
-      // Simulated ECONNRESET mid-head: degrade to a 500-with-close for
-      // this connection only.
-      io_error = true;
-      break;
-    }
+  // Simulated ECONNRESET mid-head: degrade to a 500-with-close for this
+  // connection only. Drawn once per connection, not once per recv(), so
+  // a seeded schedule does not depend on how the head was segmented.
+  bool io_error = recv_fault.Fire();
+  while (!complete && !io_error) {
     ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -8,8 +8,6 @@
 #include "common/build_info.h"
 #include "common/failpoint.h"
 #include "obs/export.h"
-#include "obs/heap_export.h"
-#include "obs/heap_profile.h"
 #include "obs/mem_ledger.h"
 
 namespace secview::net {
@@ -141,53 +139,12 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
                                         top_k,
                                         options_.plan_profiles->queries()));
   }
-  if (target == "/heapz" || target.rfind("/heapz?", 0) == 0) {
-    // A scrape is read-only: Snapshot() copies the site table but never
-    // starts or stops the sampler.
-    const obs::HeapProfileSnapshot snapshot =
-        obs::HeapProfiler::Instance().Snapshot();
-    if (target == "/heapz?format=json") {
-      HttpResponse response;
-      response.content_type = "application/json";
-      response.body = obs::HeapProfileJson(snapshot).Dump(true);
-      response.body += "\n";
-      return response;
-    }
-    if (target == "/heapz?format=collapsed") {
-      return HttpResponse::Text(200,
-                                obs::RenderHeapProfileCollapsed(snapshot));
-    }
-    size_t top_k = 20;
-    if (target != "/heapz") {
-      constexpr std::string_view kTopK = "/heapz?k=";
-      if (target.rfind(kTopK, 0) != 0) {
-        return HttpResponse::Text(400,
-                                  "unknown /heapz parameter (try /heapz, "
-                                  "/heapz?k=N, /heapz?format=json, or "
-                                  "/heapz?format=collapsed)\n");
-      }
-      top_k = 0;
-      for (char c : std::string_view(target).substr(kTopK.size())) {
-        if (c < '0' || c > '9') {
-          return HttpResponse::Text(400, "bad /heapz?k= value\n");
-        }
-        top_k = top_k * 10 + static_cast<size_t>(c - '0');
-      }
-      if (top_k == 0) top_k = 1;
-    }
-    return HttpResponse::Text(200,
-                              obs::RenderHeapProfileText(snapshot, top_k));
-  }
   if (target == "/memz" || target.rfind("/memz?", 0) == 0) {
     const obs::MemLedger& ledger = obs::MemLedger::Instance();
     if (target == "/memz?format=json") {
       obs::Json process = obs::Json::Object();
       process.Set("resident_bytes", ProcessResidentBytes());
       process.Set("peak_resident_bytes", ProcessPeakResidentBytes());
-      if (obs::HeapProfiler::Instance().running()) {
-        process.Set("sampled_live_bytes",
-                    obs::HeapProfiler::Instance().Snapshot(false).live_bytes);
-      }
       obs::Json accounts = obs::Json::Array();
       for (const obs::MemLedger::Row& row : ledger.Snapshot()) {
         obs::Json entry = obs::Json::Object();
@@ -213,12 +170,7 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
           400, "unknown /memz parameter (try /memz or /memz?format=json)\n");
     }
     std::ostringstream out;
-    out << obs::ProcessMemoryLine();
-    if (obs::HeapProfiler::Instance().running()) {
-      out << ", sampled live ~"
-          << obs::HeapProfiler::Instance().Snapshot(false).live_bytes << "B";
-    }
-    out << "\n";
+    out << obs::ProcessMemoryLine() << "\n";
     out << obs::RenderMemLedgerText(ledger);
     return HttpResponse::Text(200, out.str());
   }
@@ -241,7 +193,7 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
   if (target == "/") {
     return HttpResponse::Text(200,
                               "secview telemetry: /metrics /varz /healthz "
-                              "/statusz /tracez /profilez /heapz /memz\n");
+                              "/statusz /tracez /profilez /memz\n");
   }
   return HttpResponse::Text(404, "no such endpoint: " + target + "\n");
 }
@@ -412,15 +364,6 @@ std::string TelemetryServer::RenderStatusz() const {
     const obs::MemLedger& ledger = obs::MemLedger::Instance();
     out << "  ledger: " << ledger.TotalBytes() << "B across "
         << ledger.Snapshot().size() << " accounts (see /memz)\n";
-  }
-  if (obs::HeapProfiler::Instance().running()) {
-    out << "  heap profiler: sampling 1/"
-        << obs::HeapProfiler::Instance().options().sample_interval_bytes
-        << "B, sampled live ~"
-        << obs::HeapProfiler::Instance().Snapshot(false).live_bytes
-        << "B (see /heapz)\n";
-  } else {
-    out << "  heap profiler: off (serve --heap-sample BYTES)\n";
   }
 
   out << "\nper-policy\n";

@@ -38,11 +38,6 @@ namespace secview::net {
 ///               (obs/plan_profile.h), exclusive nodes-touched order;
 ///               "?format=json" returns the table as JSON and "?k=N"
 ///               bounds the text table's row count
-///   /heapz    - sampled allocation-site heap profile (obs/heap_profile.h)
-///               plus the process RSS and peak RSS; "?k=N" bounds the
-///               text table, "?format=json" returns secview.heap.v2
-///               (heap-export's input), "?format=collapsed" returns
-///               folded stacks for flamegraph.pl / speedscope
 ///   /memz     - subsystem memory ledger (obs/mem_ledger.h): per-account
 ///               attributed bytes plus the process RSS/peak-RSS line;
 ///               "?format=json" for the machine form

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/alloc_tracker.h"
 #include "obs/export.h"
 
 namespace secview::obs {
@@ -95,6 +96,11 @@ void MemLedger::ResetForTesting() {
   retired->insert(retired->end(), accounts_.begin(), accounts_.end());
   accounts_.clear();
   providers_.clear();
+}
+
+std::string ProcessMemoryLine() {
+  return "process: rss " + std::to_string(ProcessResidentBytes()) +
+         "B, peak rss " + std::to_string(ProcessPeakResidentBytes()) + "B";
 }
 
 std::string RenderMemLedgerText(const MemLedger& ledger) {

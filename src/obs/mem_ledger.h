@@ -136,6 +136,10 @@ class ScopedLedgerProvider {
   std::string name_;
 };
 
+/// "process: rss <n>B, peak rss <n>B" — the process line /memz starts
+/// with, above the ledger.
+std::string ProcessMemoryLine();
+
 /// /memz text rendering and the secview_mem_* Prometheus series for the
 /// ledger (implemented in mem_ledger.cc; the telemetry server calls
 /// both).

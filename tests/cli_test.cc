@@ -287,6 +287,21 @@ TEST_F(CliTest, RetiredFlagIsRejectedWithoutSwallowingTheNext) {
   EXPECT_NE(err_.str().find("unknown flag '--no-compiled'"),
             std::string::npos)
       << err_.str();
+
+  // Nor --heap-sample, retired with the sampled heap profiler.
+  EXPECT_EQ(Run({"serve", "--dtd", Path("hospital.dtd"), "--spec",
+                 Path("nurse.spec"), "--xml", Path("doc.xml"),
+                 "--heap-sample", "4096", "--no-optimize"}),
+            2);
+  EXPECT_NE(err_.str().find("unknown flag '--heap-sample'"),
+            std::string::npos)
+      << err_.str();
+
+  // The profiler's offline renderer went with it.
+  EXPECT_EQ(Run({"heap-export", "--in", Path("doc.xml")}), 2);
+  EXPECT_NE(err_.str().find("unknown command 'heap-export'"),
+            std::string::npos)
+      << err_.str();
 }
 
 TEST_F(CliTest, MisspeltFlagIsRejected) {

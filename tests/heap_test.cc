@@ -1,28 +1,20 @@
-// Tests for the memory observatory: the sampled allocation-site heap
-// profiler (obs/heap_profile), the secview.heap.v2 exporters and
-// validator (obs/heap_export), the subsystem memory ledger
-// (obs/mem_ledger), and the end-to-end reconciliation invariant — after
-// a full engine setup/serve/teardown cycle the ledger balances exactly
-// and the sampled site table agrees with the document footprint and RSS
-// within sampling error.
+// Tests for the memory observatory: the subsystem memory ledger
+// (obs/mem_ledger), the eval-scratch footprint it reads, and the
+// end-to-end reconciliation invariant — after a full engine
+// setup/serve/teardown cycle the ledger balances exactly. That the
+// teardown also returns its heap is checked by LeakSanitizer when this
+// suite runs under -DSECVIEW_SANITIZE=address (scripts/check.sh).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "common/alloc_tracker.h"
-#include "common/build_info.h"
 #include "engine/engine.h"
 #include "obs/export.h"
-#include "obs/heap_export.h"
-#include "obs/heap_profile.h"
-#include "obs/json.h"
 #include "obs/mem_ledger.h"
 #include "workload/hospital.h"
 #include "xml/tree.h"
@@ -30,273 +22,6 @@
 
 namespace secview {
 namespace {
-
-bool UnderSanitizer() { return GetBuildInfo().sanitizer != "none"; }
-
-// ---------------------------------------------------------------------------
-// HeapProfiler lifecycle and sampling
-
-TEST(HeapProfilerTest, RefusesToStartUnderSanitizerBuilds) {
-  if (!AllocTrackingAvailable()) GTEST_SKIP() << "tracker compiled out";
-  if (!UnderSanitizer()) {
-    GTEST_SKIP() << "not a sanitizer build; refusal path not reachable";
-  }
-  Status refused = obs::HeapProfiler::Instance().Start();
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
-  EXPECT_NE(refused.message().find("sanitizer"), std::string::npos) << refused;
-  EXPECT_FALSE(obs::HeapProfiler::Instance().running());
-}
-
-TEST(HeapProfilerTest, RejectsZeroInterval) {
-  if (!AllocTrackingAvailable()) GTEST_SKIP() << "tracker compiled out";
-  obs::HeapProfileOptions options;
-  options.sample_interval_bytes = 0;
-  options.allow_under_sanitizers = true;
-  EXPECT_FALSE(obs::HeapProfiler::Instance().Start(options).ok());
-  EXPECT_FALSE(obs::HeapProfiler::Instance().running());
-}
-
-TEST(HeapProfilerTest, StartStopLifecycle) {
-  if (!AllocTrackingAvailable()) GTEST_SKIP() << "tracker compiled out";
-  if (UnderSanitizer()) GTEST_SKIP() << "frame-pointer walk vs sanitizer";
-  obs::HeapProfiler& profiler = obs::HeapProfiler::Instance();
-  obs::HeapProfileOptions options;
-  options.sample_interval_bytes = 1024;
-  ASSERT_TRUE(profiler.Start(options).ok());
-  EXPECT_TRUE(profiler.running());
-  EXPECT_FALSE(profiler.Start(options).ok()) << "double start must refuse";
-
-  // Enough churn to guarantee samples at a 1KiB interval.
-  std::vector<std::unique_ptr<char[]>> blocks;
-  for (int i = 0; i < 64; ++i) blocks.push_back(std::make_unique<char[]>(8192));
-  obs::HeapProfileSnapshot live = profiler.Snapshot(/*symbolize=*/false);
-  EXPECT_TRUE(live.running);
-  EXPECT_EQ(live.sample_interval_bytes, 1024u);
-  EXPECT_GT(live.samples, 0u);
-  EXPECT_FALSE(live.sites.empty());
-
-  profiler.Stop();
-  EXPECT_FALSE(profiler.running());
-  obs::HeapProfileSnapshot stopped = profiler.Snapshot(/*symbolize=*/false);
-  EXPECT_FALSE(stopped.running);
-  EXPECT_EQ(stopped.samples, 0u);
-  EXPECT_TRUE(stopped.sites.empty()) << "Stop discards all samples";
-}
-
-TEST(HeapProfilerTest, SnapshotTotalsAreTheSumOverSites) {
-  if (!AllocTrackingAvailable()) GTEST_SKIP() << "tracker compiled out";
-  if (UnderSanitizer()) GTEST_SKIP() << "frame-pointer walk vs sanitizer";
-  obs::HeapProfiler& profiler = obs::HeapProfiler::Instance();
-  obs::HeapProfileOptions options;
-  options.sample_interval_bytes = 2048;
-  ASSERT_TRUE(profiler.Start(options).ok());
-  std::vector<std::string> strings;
-  for (int i = 0; i < 200; ++i) strings.emplace_back(1000, 'x');
-
-  obs::HeapProfileSnapshot snapshot = profiler.Snapshot(/*symbolize=*/false);
-  uint64_t live_bytes = 0, live_objects = 0, alloc_bytes = 0, samples = 0;
-  for (const obs::HeapSiteSnapshot& site : snapshot.sites) {
-    live_bytes += site.live_bytes;
-    live_objects += site.live_objects;
-    alloc_bytes += site.alloc_bytes;
-    samples += site.samples;
-    EXPECT_FALSE(site.frames.empty());
-  }
-  EXPECT_EQ(snapshot.live_bytes, live_bytes);
-  EXPECT_EQ(snapshot.live_objects, live_objects);
-  EXPECT_EQ(snapshot.alloc_bytes, alloc_bytes);
-  // Every raw sample event lands in exactly one site: the global event
-  // counter and the per-site counters must agree.
-  EXPECT_EQ(snapshot.samples, samples);
-  for (size_t i = 1; i < snapshot.sites.size(); ++i) {
-    EXPECT_GE(snapshot.sites[i - 1].live_bytes, snapshot.sites[i].live_bytes);
-  }
-  profiler.Stop();
-}
-
-TEST(HeapProfilerTest, SampledLiveBytesTrackAllocationsWithinSamplingError) {
-  if (!AllocTrackingAvailable()) GTEST_SKIP() << "tracker compiled out";
-  if (UnderSanitizer()) GTEST_SKIP() << "frame-pointer walk vs sanitizer";
-  obs::HeapProfiler& profiler = obs::HeapProfiler::Instance();
-  obs::HeapProfileOptions options;
-  // Interval far below the allocation size: every block is sampled with
-  // weight ~= its own size, so the estimate is tight.
-  options.sample_interval_bytes = 4096;
-  ASSERT_TRUE(profiler.Start(options).ok());
-
-  constexpr size_t kBlock = 64 * 1024;
-  constexpr size_t kCount = 64;
-  std::vector<char*> blocks;
-  blocks.reserve(kCount);
-  for (size_t i = 0; i < kCount; ++i) {
-    blocks.push_back(new char[kBlock]);
-    blocks.back()[0] = static_cast<char>(i);
-  }
-  const uint64_t expected = kBlock * kCount;
-  obs::HeapProfileSnapshot held = profiler.Snapshot(/*symbolize=*/false);
-  // Relative error ~ sqrt(N/B) is far under 25% at these sizes; the
-  // estimate must bracket the truth.
-  EXPECT_GT(held.live_bytes, expected * 3 / 4) << "sampled estimate too low";
-  EXPECT_LT(held.live_bytes, expected * 5 / 4) << "sampled estimate too high";
-  EXPECT_GE(held.samples, kCount)
-      << "every 64KiB block crosses a 4KiB sampling interval";
-
-  // Freeing sampled pointers must drain the estimated live bytes; the
-  // cumulative churn statistics survive.
-  for (char* block : blocks) delete[] block;
-  obs::HeapProfileSnapshot drained = profiler.Snapshot(/*symbolize=*/false);
-  EXPECT_LT(drained.live_bytes, expected / 10)
-      << "frees of sampled blocks must decrement their sites";
-  EXPECT_GE(drained.alloc_bytes, held.live_bytes)
-      << "cumulative attribution never shrinks";
-  profiler.Stop();
-}
-
-// Populates every stack-hash stripe by allocating from a family of
-// distinct call depths, so the snapshot loop below has to copy sites
-// out of each stripe it locks.
-__attribute__((noinline)) void ChurnAtDepth(int depth,
-                                            std::vector<std::string>* sink) {
-  if (depth > 0) {
-    ChurnAtDepth(depth - 1, sink);
-  }
-  sink->push_back(std::string(512, static_cast<char>('a' + depth % 26)));
-}
-
-TEST(HeapProfilerTest, SnapshotUnderFullSamplingDoesNotSelfDeadlock) {
-  if (!AllocTrackingAvailable()) GTEST_SKIP() << "tracker compiled out";
-  if (UnderSanitizer()) GTEST_SKIP() << "frame-pointer walk vs sanitizer";
-  obs::HeapProfiler& profiler = obs::HeapProfiler::Instance();
-  obs::HeapProfileOptions options;
-  // Interval 1 samples every allocation — including, before the hook
-  // shield existed, Snapshot's own copies made while it held a site
-  // stripe lock, which self-deadlocked whenever such a copy's stack
-  // hashed to the held stripe. This test hangs (and times out) on a
-  // regression instead of failing an assertion.
-  options.sample_interval_bytes = 1;
-  ASSERT_TRUE(profiler.Start(options).ok());
-  std::vector<std::string> sink;
-  for (int round = 0; round < 50; ++round) {
-    for (int depth = 1; depth <= 24; ++depth) {
-      ChurnAtDepth(depth, &sink);
-    }
-    obs::HeapProfileSnapshot snapshot = profiler.Snapshot(/*symbolize=*/false);
-    EXPECT_GT(snapshot.samples, 0u);
-    sink.clear();
-  }
-  profiler.Stop();
-}
-
-TEST(HeapProfilerTest, SymbolizePcProducesAName) {
-  // dladdr on an address inside our own (-rdynamic, exported) code; the
-  // worst case falls back to a bare hex string, never empty.
-  std::string name = obs::SymbolizePc(
-      reinterpret_cast<uintptr_t>(&obs::SymbolizePc) + 1);
-  EXPECT_FALSE(name.empty());
-}
-
-// ---------------------------------------------------------------------------
-// secview.heap.v2 export, validation, parse round-trip
-
-obs::HeapProfileSnapshot MakeFakeSnapshot() {
-  obs::HeapProfileSnapshot snapshot;
-  snapshot.running = true;
-  snapshot.sample_interval_bytes = 65536;
-  snapshot.samples = 3;
-  obs::HeapSiteSnapshot site;
-  site.frames = {0x401234, 0x401000};
-  site.symbols = {"ParseXml(char const*)", "main"};
-  site.live_bytes = 131072;
-  site.live_objects = 2;
-  site.alloc_bytes = 262144;
-  site.alloc_objects = 4;
-  site.samples = 3;
-  snapshot.sites.push_back(site);
-  snapshot.live_bytes = site.live_bytes;
-  snapshot.live_objects = site.live_objects;
-  snapshot.alloc_bytes = site.alloc_bytes;
-  snapshot.alloc_objects = site.alloc_objects;
-  return snapshot;
-}
-
-TEST(HeapExportTest, JsonValidatesAndParsesBackLossless) {
-  obs::HeapProfileSnapshot snapshot = MakeFakeSnapshot();
-  obs::Json doc = obs::HeapProfileJson(snapshot);
-  std::string text = doc.Dump(true);
-  Status valid = obs::ValidateHeapProfileJson(text);
-  ASSERT_TRUE(valid.ok()) << valid;
-
-  auto parsed = obs::ParseHeapProfileJson(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->running, snapshot.running);
-  EXPECT_EQ(parsed->sample_interval_bytes, snapshot.sample_interval_bytes);
-  EXPECT_EQ(parsed->samples, snapshot.samples);
-  EXPECT_EQ(parsed->live_bytes, snapshot.live_bytes);
-  ASSERT_EQ(parsed->sites.size(), 1u);
-  EXPECT_EQ(parsed->sites[0].frames, snapshot.sites[0].frames);
-  EXPECT_EQ(parsed->sites[0].symbols, snapshot.sites[0].symbols);
-  EXPECT_EQ(parsed->sites[0].live_bytes, snapshot.sites[0].live_bytes);
-
-  // Re-rendering the parsed snapshot reproduces the sampled data
-  // byte-for-byte. (The process section is freshly read from the
-  // kernel each render, so only the sampled half is stable.)
-  obs::Json again = obs::HeapProfileJson(*parsed);
-  EXPECT_EQ(again.Find("sampled")->Dump(), doc.Find("sampled")->Dump());
-  EXPECT_EQ(again.Find("sites")->Dump(), doc.Find("sites")->Dump());
-}
-
-TEST(HeapExportTest, TopKBoundsTheSiteList) {
-  obs::HeapProfileSnapshot snapshot = MakeFakeSnapshot();
-  snapshot.sites.push_back(snapshot.sites[0]);
-  snapshot.sites.push_back(snapshot.sites[0]);
-  obs::Json doc = obs::HeapProfileJson(snapshot, /*top_k=*/2);
-  ASSERT_NE(doc.Find("sites"), nullptr);
-  EXPECT_EQ(doc.Find("sites")->items().size(), 2u);
-  // The "sampled" section still reports the full site count.
-  EXPECT_EQ(doc.Find("sampled")->Find("sites")->AsNumber(), 3);
-}
-
-TEST(HeapExportTest, CollapsedLinesAreRootFirstAndSanitized) {
-  obs::HeapProfileSnapshot snapshot = MakeFakeSnapshot();
-  snapshot.sites[0].symbols = {"leaf fn(int; long)", "root"};
-  std::string folded = obs::RenderHeapProfileCollapsed(snapshot);
-  // Root-first, ';'-joined, space, live bytes. Separator characters in
-  // frame names are squeezed out.
-  EXPECT_EQ(folded, "root;leaf_fn(int:_long) 131072\n");
-
-  // Sites with zero live bytes produce no line.
-  snapshot.sites[0].live_bytes = 0;
-  EXPECT_EQ(obs::RenderHeapProfileCollapsed(snapshot), "");
-}
-
-TEST(HeapExportTest, TextRenderShowsProcessAndSites) {
-  std::string text = obs::RenderHeapProfileText(MakeFakeSnapshot(), 10);
-  EXPECT_NE(text.find("heap profile:"), std::string::npos) << text;
-  EXPECT_NE(text.find("process: rss"), std::string::npos) << text;
-  EXPECT_NE(text.find("ParseXml"), std::string::npos) << text;
-}
-
-TEST(HeapExportTest, ValidatorRejectsMalformedDocuments) {
-  EXPECT_FALSE(obs::ValidateHeapProfileJson("not json").ok());
-  EXPECT_FALSE(obs::ValidateHeapProfileJson("{}").ok());
-  EXPECT_FALSE(
-      obs::ValidateHeapProfileJson(R"({"schema":"secview.trace.v1"})").ok());
-
-  // A well-formed document, broken one field at a time.
-  obs::Json doc = obs::HeapProfileJson(MakeFakeSnapshot());
-  obs::Json no_process = obs::Json::Parse(doc.Dump()).value();
-  no_process.Set("process", 42);
-  EXPECT_FALSE(obs::ValidateHeapProfileJson(no_process.Dump()).ok());
-
-  obs::Json bad_site = obs::Json::Parse(doc.Dump()).value();
-  obs::Json site = obs::Json::Object();
-  site.Set("live_bytes", 1);
-  obs::Json sites = obs::Json::Array();
-  sites.Append(std::move(site));
-  bad_site.Set("sites", std::move(sites));
-  EXPECT_FALSE(obs::ValidateHeapProfileJson(bad_site.Dump()).ok());
-}
 
 // ---------------------------------------------------------------------------
 // MemLedger
@@ -464,13 +189,6 @@ TEST(HeapObservatoryTest, LedgerAndCountersReconcileAcrossEngineLifecycle) {
   obs::MemLedger& ledger = obs::MemLedger::Instance();
   ledger.ResetForTesting();
 
-  const bool sample = AllocTrackingAvailable() && !UnderSanitizer();
-  if (sample) {
-    obs::HeapProfileOptions options;
-    options.sample_interval_bytes = 8192;
-    ASSERT_TRUE(obs::HeapProfiler::Instance().Start(options).ok());
-  }
-
   {
     auto engine = SecureQueryEngine::Create(MakeHospitalDtd());
     ASSERT_TRUE(engine.ok()) << engine.status();
@@ -495,41 +213,12 @@ TEST(HeapObservatoryTest, LedgerAndCountersReconcileAcrossEngineLifecycle) {
       auto result = (*engine)->Execute("nurse", *doc, "//patient//bill", exec);
       ASSERT_TRUE(result.ok()) << result.status();
     }
-
-    if (sample) {
-      obs::HeapProfileSnapshot snapshot =
-          obs::HeapProfiler::Instance().Snapshot(/*symbolize=*/false);
-      EXPECT_GT(snapshot.samples, 0u) << "engine setup allocates enough "
-                                         "to cross the sampling interval";
-      // The document was built after Start: its node/string storage is
-      // real live heap, so the estimate carries at least a large
-      // fraction of what the ledger attributes to it.
-      EXPECT_GE(snapshot.live_bytes, doc_bytes / 2)
-          << "tree footprint must be visible in the sampled estimate";
-      // The sampled estimate covers written heap bytes allocated since
-      // Start, a subset of the resident set; it can exceed RSS only by
-      // sampling error.
-      EXPECT_LT(snapshot.live_bytes,
-                ProcessResidentBytes() * 5 / 4 + 65536);
-    }
   }
 
   // Teardown: the scoped charge balanced exactly.
   EXPECT_EQ(ledger.GetAccount("xml.doc").bytes(), 0);
   EXPECT_EQ(ledger.TotalBytes(), 0);
 
-  if (sample) {
-    // The sampled live estimate returns to the neighborhood of zero (it
-    // only sees allocations since Start). Not exact: interned statics,
-    // thread-local eval-scratch pools, and lazily-grown library caches
-    // legitimately survive the scope — but the document and engine
-    // must not.
-    obs::HeapProfileSnapshot after =
-        obs::HeapProfiler::Instance().Snapshot(/*symbolize=*/false);
-    EXPECT_LT(after.live_bytes, 4u << 20)
-        << "engine teardown must return its heap";
-    obs::HeapProfiler::Instance().Stop();
-  }
   ledger.ResetForTesting();
 }
 

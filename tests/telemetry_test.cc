@@ -21,7 +21,6 @@
 #include "net/telemetry_server.h"
 #include "obs/health.h"
 #include "obs/export.h"
-#include "obs/heap_export.h"
 #include "obs/json.h"
 #include "obs/mem_ledger.h"
 #include "obs/plan_profile.h"
@@ -540,31 +539,17 @@ TEST_F(TelemetryServerTest, UnknownRouteIs404) {
   EXPECT_EQ(server_->Handle(Get("/")).status, 200);
 }
 
-TEST_F(TelemetryServerTest, RootRouteListsHeapAndMemEndpoints) {
+TEST_F(TelemetryServerTest, RootRouteListsMemzButNotHeapz) {
   net::HttpResponse response = server_->Handle(Get("/"));
   ASSERT_EQ(response.status, 200);
-  EXPECT_NE(response.body.find("/heapz"), std::string::npos) << response.body;
   EXPECT_NE(response.body.find("/memz"), std::string::npos) << response.body;
+  EXPECT_EQ(response.body.find("/heapz"), std::string::npos) << response.body;
 }
 
-TEST_F(TelemetryServerTest, HeapzRendersTextJsonAndCollapsed) {
-  net::HttpResponse text = server_->Handle(Get("/heapz"));
-  ASSERT_EQ(text.status, 200);
-  EXPECT_NE(text.body.find("heap profile:"), std::string::npos) << text.body;
-  EXPECT_NE(text.body.find("process: rss"), std::string::npos) << text.body;
-
-  net::HttpResponse json = server_->Handle(Get("/heapz?format=json"));
-  ASSERT_EQ(json.status, 200);
-  EXPECT_EQ(json.content_type, "application/json");
-  Status valid = obs::ValidateHeapProfileJson(json.body);
-  EXPECT_TRUE(valid.ok()) << valid << "\n" << json.body;
-
-  // Collapsed output may be empty (no sampler running in unit tests)
-  // but the route itself must succeed.
-  EXPECT_EQ(server_->Handle(Get("/heapz?format=collapsed")).status, 200);
-  EXPECT_EQ(server_->Handle(Get("/heapz?k=5")).status, 200);
-  EXPECT_EQ(server_->Handle(Get("/heapz?k=abc")).status, 400);
-  EXPECT_EQ(server_->Handle(Get("/heapz?format=xml")).status, 400);
+TEST_F(TelemetryServerTest, HeapzIsNotFound) {
+  // The sampled heap profiler and its route are gone; the old URL gets
+  // the ordinary unknown-route answer.
+  EXPECT_EQ(server_->Handle(Get("/heapz")).status, 404);
 }
 
 TEST_F(TelemetryServerTest, MemzReportsLedgerAndProcessCounters) {
@@ -609,7 +594,6 @@ TEST_F(TelemetryServerTest, StatuszHasMemorySection) {
   EXPECT_NE(body.find("\nmemory\n"), std::string::npos) << body;
   EXPECT_NE(body.find("rss: "), std::string::npos) << body;
   EXPECT_NE(body.find("ledger: "), std::string::npos) << body;
-  EXPECT_NE(body.find("heap profiler:"), std::string::npos) << body;
 }
 
 TEST_F(TelemetryServerTest, MetricsRouteIncludesMemorySeries) {
@@ -671,15 +655,9 @@ TEST_F(TelemetryServerTest, EndToEndScrapeWhileServing) {
           !obs::Json::Parse(profilez->body).ok()) {
         bad_scrapes.fetch_add(1);
       }
-      // /heapz and /memz race the workers' allocation churn (ledger
-      // charges, eval-scratch publications); the documents must always
-      // validate whole.
-      auto heapz =
-          net::HttpGet("127.0.0.1", server_->port(), "/heapz?format=json");
-      if (!heapz.ok() || heapz->status != 200 ||
-          !obs::ValidateHeapProfileJson(heapz->body).ok()) {
-        bad_scrapes.fetch_add(1);
-      }
+      // /memz races the workers' allocation churn (ledger charges,
+      // eval-scratch publications); the document must always parse
+      // whole.
       auto memz =
           net::HttpGet("127.0.0.1", server_->port(), "/memz?format=json");
       if (!memz.ok() || memz->status != 200 ||
