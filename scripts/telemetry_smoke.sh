@@ -5,7 +5,9 @@
 # grammar by the CLI itself), /varz, /statusz, and /memz (the process
 # RSS line and the subsystem ledger, in text and secview.mem.v2 JSON)
 # through the built-in HTTP client, and finally let the server wind
-# down cleanly.
+# down cleanly. A second, shedding server then checks that /statusz
+# counts every audit line the pool writes, and that SIGINT ends it
+# promptly despite a long replay delay.
 #
 # Usage: scripts/telemetry_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -95,18 +97,23 @@ echo "== starting serve (ephemeral port, replayed workload) =="
   --port-file "$PORT_FILE" > "$WORK/serve.out" 2>&1 &
 SERVE_PID=$!
 
-PORT=""
-for _ in $(seq 1 200); do
-  if [[ -s "$PORT_FILE" ]]; then PORT="$(cat "$PORT_FILE")"; break; fi
-  if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-    echo "telemetry_smoke: serve exited early:" >&2
-    cat "$WORK/serve.out" >&2
-    exit 1
-  fi
-  sleep 0.05
-done
-[[ -n "$PORT" ]] || { echo "telemetry_smoke: no port file" >&2; exit 1; }
-echo "serving on 127.0.0.1:$PORT"
+# wait_for_port PORT_FILE LOG: sets PORT once the serve at $SERVE_PID
+# has written its port file.
+wait_for_port() {
+  PORT=""
+  for _ in $(seq 1 200); do
+    if [[ -s "$1" ]]; then PORT="$(cat "$1")"; break; fi
+    if ! kill -0 "$SERVE_PID" 2>/dev/null; then
+      echo "telemetry_smoke: serve exited early:" >&2
+      cat "$2" >&2
+      exit 1
+    fi
+    sleep 0.05
+  done
+  [[ -n "$PORT" ]] || { echo "telemetry_smoke: no port file" >&2; exit 1; }
+  echo "serving on 127.0.0.1:$PORT"
+}
+wait_for_port "$PORT_FILE" "$WORK/serve.out"
 
 echo "== /healthz =="
 "$SECVIEW" scrape --port "$PORT" --retries 3 --path /healthz | grep -q '^ok$' || {
@@ -159,4 +166,44 @@ grep -q '# served' "$WORK/serve.out" || {
   exit 1
 }
 
-echo "telemetry_smoke: OK (endpoints live, clean shutdown)"
+echo "== audit count under shedding =="
+# One worker and a queue of one: the 5-query round runs its first query
+# and sheds the other four (ResourceExhausted, audited as "timeout").
+# Every one of them must be counted on /statusz and written to the log.
+# The long replay delay keeps it to one round, and SIGINT must still end
+# the server promptly.
+for _ in 1 2 3 4 5; do echo '//patient/name'; done > "$WORK/five.txt"
+SHED_PORT_FILE="$WORK/shed.port"
+"$SECVIEW" serve --dtd "$WORK/hospital.dtd" --spec "$WORK/nurse.spec" \
+  --xml "$WORK/doc.xml" --queries "$WORK/five.txt" --bind wardNo=3 \
+  --threads 1 --queue-cap 1 --replay-delay-ms 100000 --max-seconds 60 \
+  --audit-log "$WORK/audit.jsonl" \
+  --port-file "$SHED_PORT_FILE" > "$WORK/shed.out" 2>&1 &
+SERVE_PID=$!
+wait_for_port "$SHED_PORT_FILE" "$WORK/shed.out"
+STATUSZ=""
+for _ in $(seq 1 100); do
+  STATUSZ="$("$SECVIEW" scrape --port "$PORT" --retries 3 --path /statusz)"
+  if echo "$STATUSZ" | grep -q 'lifetime: 5 queries'; then break; fi
+  sleep 0.05
+done
+echo "$STATUSZ" | grep -q 'lifetime: 5 queries' || {
+  echo "telemetry_smoke: the shedding round never reached 5 queries:" >&2
+  echo "$STATUSZ" >&2; exit 1; }
+echo "$STATUSZ" | grep -q '  5 events written, 0 dropped' || {
+  echo "telemetry_smoke: /statusz audit count is not 5:" >&2
+  echo "$STATUSZ" >&2; exit 1; }
+AUDIT_LINES="$(wc -l < "$WORK/audit.jsonl")"
+[[ "$AUDIT_LINES" -eq 5 ]] || {
+  echo "telemetry_smoke: audit log has $AUDIT_LINES lines, want 5" >&2
+  exit 1; }
+STOP_START="$(date +%s)"
+kill -INT "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+STOP_SECONDS=$(( $(date +%s) - STOP_START ))
+[[ "$STOP_SECONDS" -le 5 ]] || {
+  echo "telemetry_smoke: SIGINT took ${STOP_SECONDS}s to stop serve" >&2
+  exit 1; }
+
+echo "telemetry_smoke: OK (endpoints live, audit counted, clean shutdown)"

@@ -1045,19 +1045,24 @@ Status CmdServe(const Args& args, std::ostream& out) {
   out.flush();
 
   const auto start = std::chrono::steady_clock::now();
+  auto serving = [&] {
+    return !g_serve_stop.load() &&
+           (max_seconds == 0 || std::chrono::steady_clock::now() - start <
+                                    std::chrono::seconds(max_seconds));
+  };
   uint64_t rounds = 0;
-  while (!g_serve_stop.load()) {
-    if (max_seconds > 0 &&
-        std::chrono::steady_clock::now() - start >=
-            std::chrono::seconds(max_seconds)) {
-      break;
-    }
+  while (serving()) {
     if (!queries.empty()) {
       pool.ExecuteBatch("policy", doc, queries, options);
       ++rounds;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        queries.empty() ? 50 : replay_delay_ms));
+    // Sleep in slices of at most 50 ms, so a signal or --max-seconds
+    // ends even a long --replay-delay-ms promptly.
+    for (uint64_t ms = queries.empty() ? 50 : replay_delay_ms;
+         ms > 0 && serving(); ms -= std::min<uint64_t>(ms, 50)) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(std::min<uint64_t>(ms, 50)));
+    }
   }
   std::signal(SIGINT, old_int);
   std::signal(SIGTERM, old_term);

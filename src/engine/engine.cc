@@ -71,6 +71,7 @@ SecureQueryEngine::SecureQueryEngine(std::unique_ptr<Dtd> dtd,
   hot_.execute_errors = &metrics_.GetCounter("engine.execute_errors");
   hot_.rejected_deadline = &metrics_.GetCounter("engine.rejected.deadline");
   hot_.rejected_budget = &metrics_.GetCounter("engine.rejected.budget");
+  hot_.audit_events = &metrics_.GetCounter("audit.events");
   hot_.cache_hits = &metrics_.GetCounter("engine.cache.hits");
   hot_.cache_misses = &metrics_.GetCounter("engine.cache.misses");
   hot_.cache_evictions = &metrics_.GetCounter("engine.cache.evictions");
@@ -418,7 +419,9 @@ Status SecureQueryEngine::ExecuteInto(const std::string& policy_name,
                                       ExecuteResult& result) {
   obs::ScopedSpan exec_span(options.trace, "execute");
   exec_span.SetAttr("policy", policy_name);
-  exec_span.SetAttr("query", std::string(query_text));
+  if (options.trace != nullptr) {
+    exec_span.SetAttr("query", std::string(query_text));
+  }
 
   if (doc.empty()) return Status::InvalidArgument("empty document");
   if (doc.label(doc.root()) != dtd_->TypeName(dtd_->root())) {
@@ -543,24 +546,93 @@ void SecureQueryEngine::AttachHealth(obs::HealthTracker* health) {
 void SecureQueryEngine::RecordServingOutcome(const std::string& policy,
                                              std::string_view query_text,
                                              const Status& status,
-                                             uint64_t latency_micros) {
-  obs::ServeOutcome outcome = obs::ServeOutcomeForStatus(status);
+                                             uint64_t latency_micros,
+                                             obs::AuditSink* audit) {
+  Publish(policy, query_text, status, latency_micros, /*result=*/nullptr,
+          /*bindings=*/{}, audit, /*request_trace=*/nullptr);
+}
+
+void SecureQueryEngine::Publish(
+    const std::string& policy, std::string_view query_text,
+    const Status& status, uint64_t latency_micros, const ExecuteResult* result,
+    const std::vector<std::pair<std::string, std::string>>& bindings,
+    obs::AuditSink* audit, obs::Trace* request_trace) {
+  const obs::ServeOutcome outcome = obs::ServeOutcomeForStatus(status);
+  static const ExecuteStats kNoStats;
+  const ExecuteStats& s = result != nullptr ? result->stats : kNoStats;
   if (health_ != nullptr) health_->RecordOutcome(status.ok());
-  if (window_stats_ != nullptr) {
-    window_stats_->Record(latency_micros, outcome);
-  }
+  if (window_stats_ != nullptr) window_stats_->Record(latency_micros, outcome);
   if (policy_stats_ != nullptr) {
-    policy_stats_->Record(policy, outcome, latency_micros,
-                          /*nodes_touched=*/0, /*alloc_bytes=*/0);
+    policy_stats_->Record(policy, outcome, latency_micros, s.nodes_touched,
+                          s.alloc_bytes);
   }
-  if (slow_log_ != nullptr) {
+  if (slow_log_ != nullptr && latency_micros >= slow_log_->threshold_micros()) {
     obs::SlowQueryLog::Entry entry;
     entry.unix_micros = obs::AuditEvent::NowUnixMicros();
     entry.policy = policy;
     entry.query = std::string(query_text);
     entry.outcome = outcome;
     entry.latency_micros = latency_micros;
+    entry.cache_hit = s.cache_hit;
+    entry.nodes_touched = s.nodes_touched;
+    entry.predicate_evals = s.predicate_evals;
+    entry.results = static_cast<uint64_t>(s.result_count);
+    entry.alloc_bytes = s.alloc_bytes;
+    entry.hot_step = s.hot_step;
     slow_log_->MaybeRecord(std::move(entry));
+  }
+  if (request_trace != nullptr) {
+    request_trace->root().SetAttr("alloc_bytes", s.alloc_bytes);
+    request_trace->root().SetAttr("alloc_count", s.alloc_count);
+    if (!s.hot_step.empty()) {
+      request_trace->root().SetAttr("hot_step", s.hot_step);
+    }
+    trace_store_->Offer(policy, query_text, outcome, latency_micros,
+                        *request_trace);
+  }
+  if (audit != nullptr) {
+    obs::AuditEvent event;
+    event.unix_micros = obs::AuditEvent::NowUnixMicros();
+    event.policy = policy;
+    event.query = std::string(query_text);
+    if (!status.ok()) {
+      event.outcome = obs::ServeOutcomeName(outcome);
+      event.status = StatusCodeToString(status.code());
+      event.error = status.message();
+    }
+    // A failed execution still reports whatever provenance it produced
+    // before failing (e.g. the rewritten query when binding failed).
+    if (result != nullptr && result->rewritten != nullptr) {
+      event.rewritten = ToXPathString(result->rewritten);
+    }
+    if (result != nullptr && result->evaluated != nullptr) {
+      event.evaluated = ToXPathString(result->evaluated, bindings);
+    }
+    event.results = static_cast<uint64_t>(s.result_count);
+    event.cache_hit = s.cache_hit;
+    event.unfold_depth = s.unfold_depth;
+    event.ast_size_rewritten = s.ast_size_rewritten;
+    event.ast_size_evaluated = s.ast_size_evaluated;
+    event.parse_micros = s.parse_micros;
+    event.rewrite_micros = s.rewrite_micros;
+    event.optimize_micros = s.optimize_micros;
+    event.evaluate_micros = s.evaluate_micros;
+    event.nodes_touched = s.nodes_touched;
+    event.predicate_evals = s.predicate_evals;
+    event.rewrite_dp_entries = s.rewrite_dp_entries;
+    event.optimize_dp_entries = s.optimize_dp_entries;
+    event.nonexistence_prunes = s.nonexistence_prunes;
+    event.simulation_tests = s.simulation_tests;
+    event.union_prunes = s.union_prunes;
+    audit->Record(event);
+    hot_.audit_events->Add();
+  }
+  if (!status.ok()) {
+    if (status.IsDeadlineExceeded()) hot_.rejected_deadline->Add();
+    if (result != nullptr) {
+      hot_.execute_errors->Add();
+      if (status.IsResourceExhausted()) hot_.rejected_budget->Add();
+    }
   }
 }
 
@@ -599,87 +671,10 @@ Result<ExecuteResult> SecureQueryEngine::Execute(
   hot_.execute_micros->Observe(latency_micros);
   hot_.alloc_bytes->Observe(result.stats.alloc_bytes);
   hot_.alloc_count->Observe(result.stats.alloc_count);
-  if (health_ != nullptr) health_->RecordOutcome(status.ok());
-  if (window_stats_ != nullptr || slow_log_ != nullptr ||
-      policy_stats_ != nullptr) {
-    obs::ServeOutcome outcome = obs::ServeOutcomeForStatus(status);
-    if (window_stats_ != nullptr) {
-      window_stats_->Record(latency_micros, outcome);
-    }
-    if (policy_stats_ != nullptr) {
-      policy_stats_->Record(policy_name, outcome, latency_micros,
-                            result.stats.nodes_touched,
-                            result.stats.alloc_bytes);
-    }
-    if (slow_log_ != nullptr) {
-      obs::SlowQueryLog::Entry entry;
-      entry.unix_micros = obs::AuditEvent::NowUnixMicros();
-      entry.policy = policy_name;
-      entry.query = std::string(query_text);
-      entry.outcome = outcome;
-      entry.latency_micros = latency_micros;
-      entry.cache_hit = result.stats.cache_hit;
-      entry.nodes_touched = result.stats.nodes_touched;
-      entry.predicate_evals = result.stats.predicate_evals;
-      entry.results = static_cast<uint64_t>(result.stats.result_count);
-      entry.alloc_bytes = result.stats.alloc_bytes;
-      entry.hot_step = result.stats.hot_step;
-      slow_log_->MaybeRecord(std::move(entry));
-    }
-  }
-  if (request_trace.has_value()) {
-    request_trace->root().SetAttr("alloc_bytes", result.stats.alloc_bytes);
-    request_trace->root().SetAttr("alloc_count", result.stats.alloc_count);
-    if (!result.stats.hot_step.empty()) {
-      request_trace->root().SetAttr("hot_step", result.stats.hot_step);
-    }
-    trace_store_->Offer(policy_name, query_text, status, latency_micros,
-                        *request_trace);
-  }
-  if (options.audit != nullptr) {
-    obs::AuditEvent event;
-    event.unix_micros = obs::AuditEvent::NowUnixMicros();
-    event.policy = policy_name;
-    event.query = std::string(query_text);
-    if (!status.ok()) {
-      event.outcome = obs::AuditOutcomeForStatus(status);
-      event.status = StatusCodeToString(status.code());
-      event.error = status.message();
-    }
-    // A failed execution still reports whatever provenance it produced
-    // before failing (e.g. the rewritten query when binding failed).
-    if (result.rewritten != nullptr) {
-      event.rewritten = ToXPathString(result.rewritten);
-    }
-    if (result.evaluated != nullptr) {
-      event.evaluated = ToXPathString(result.evaluated, options.bindings);
-    }
-    const ExecuteStats& s = result.stats;
-    event.results = static_cast<uint64_t>(s.result_count);
-    event.cache_hit = s.cache_hit;
-    event.unfold_depth = s.unfold_depth;
-    event.ast_size_rewritten = s.ast_size_rewritten;
-    event.ast_size_evaluated = s.ast_size_evaluated;
-    event.parse_micros = s.parse_micros;
-    event.rewrite_micros = s.rewrite_micros;
-    event.optimize_micros = s.optimize_micros;
-    event.evaluate_micros = s.evaluate_micros;
-    event.nodes_touched = s.nodes_touched;
-    event.predicate_evals = s.predicate_evals;
-    event.rewrite_dp_entries = s.rewrite_dp_entries;
-    event.optimize_dp_entries = s.optimize_dp_entries;
-    event.nonexistence_prunes = s.nonexistence_prunes;
-    event.simulation_tests = s.simulation_tests;
-    event.union_prunes = s.union_prunes;
-    options.audit->Record(event);
-    metrics_.GetCounter("audit.events").Add();
-  }
-  if (!status.ok()) {
-    hot_.execute_errors->Add();
-    if (status.IsDeadlineExceeded()) hot_.rejected_deadline->Add();
-    if (status.IsResourceExhausted()) hot_.rejected_budget->Add();
-    return status;
-  }
+  Publish(policy_name, query_text, status, latency_micros, &result,
+          options.bindings, options.audit,
+          request_trace.has_value() ? &*request_trace : nullptr);
+  if (!status.ok()) return status;
   if (options.explain != nullptr) {
     ExplainOptions explain_options;
     explain_options.optimize = options.optimize;

@@ -248,13 +248,12 @@ class SecureQueryEngine {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Attaches serving-time observers: every Execute (and every query a
-  /// QueryWorkerPool disposes of without executing) is recorded into
-  /// `window` (sliding-window QPS/latency aggregates) and offered to
-  /// `slow_log` (bounded slow-query ring). Either may be null. The
-  /// observers must outlive the engine's serve phase; attach them during
-  /// setup, before concurrent serving starts — the pointers themselves
-  /// are not synchronized.
+  /// Attaches serving-time observers: every published query (see
+  /// Publish) is recorded into `window` (sliding-window QPS/latency
+  /// aggregates) and, at or above its threshold, into `slow_log`
+  /// (bounded slow-query ring). Either may be null. The observers must
+  /// outlive the engine's serve phase; attach them during setup, before
+  /// concurrent serving starts — the pointers are not synchronized.
   void AttachServingObservers(obs::SlidingWindowStats* window,
                               obs::SlowQueryLog* slow_log);
 
@@ -283,12 +282,12 @@ class SecureQueryEngine {
   /// discipline as AttachServingObservers.
   void AttachHealth(obs::HealthTracker* health);
 
-  /// Records a query outcome that bypassed Execute (e.g. shed at a
-  /// worker pool's queue) into the attached serving observers, keeping
-  /// /statusz rates in line with the audit trail.
+  /// Publishes a query that bypassed Execute (shed, expired or
+  /// cancelled at a worker pool's queue) exactly as Execute publishes
+  /// its queries, `audit` included, so /statusz matches the audit trail.
   void RecordServingOutcome(const std::string& policy,
                             std::string_view query_text, const Status& status,
-                            uint64_t latency_micros);
+                            uint64_t latency_micros, obs::AuditSink* audit);
 
   // -- Policies -------------------------------------------------------------
 
@@ -401,10 +400,12 @@ class SecureQueryEngine {
     obs::Counter* queries = nullptr;
     obs::Counter* results_returned = nullptr;
     obs::Counter* execute_errors = nullptr;
-    /// Executions that failed with kDeadlineExceeded.
+    /// Queries that failed with kDeadlineExceeded (also in a queue).
     obs::Counter* rejected_deadline = nullptr;
     /// Executions that failed with kResourceExhausted.
     obs::Counter* rejected_budget = nullptr;
+    /// audit.events — events handed to an audit sink.
+    obs::Counter* audit_events = nullptr;
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_misses = nullptr;
     obs::Counter* cache_evictions = nullptr;
@@ -490,12 +491,23 @@ class SecureQueryEngine {
   Result<std::shared_ptr<const CompiledPlan>> CompileQueryPlan(
       const PathPtr& query, obs::Trace* trace);
 
-  /// Execute minus the audit bookkeeping; fills `result` as far as the
+  /// Execute minus the publishing; fills `result` as far as the
   /// execution got, so a failing run still exposes partial provenance
   /// (e.g. the rewritten query when binding failed) to the audit event.
   Status ExecuteInto(const std::string& policy_name, const XmlTree& doc,
                      std::string_view query_text,
                      const ExecuteOptions& options, ExecuteResult& result);
+
+  /// The one place a finished query's facts leave the engine: maps
+  /// `status` to its outcome once and feeds every attached observer,
+  /// the trace store (given `request_trace`), `audit`, and the error
+  /// and audit counters. `result` is null for a query never executed:
+  /// it then counts in neither execute_errors nor rejected.budget.
+  void Publish(const std::string& policy, std::string_view query_text,
+               const Status& status, uint64_t latency_micros,
+               const ExecuteResult* result,
+               const std::vector<std::pair<std::string, std::string>>& bindings,
+               obs::AuditSink* audit, obs::Trace* request_trace);
 
   std::unique_ptr<Dtd> dtd_;
   EngineOptions options_;

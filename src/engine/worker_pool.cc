@@ -5,30 +5,8 @@
 #include <memory>
 
 #include "common/failpoint.h"
-#include "obs/audit.h"
 
 namespace secview {
-
-namespace {
-
-/// Audit record for a task the pool disposed of *without* executing it
-/// (shed at submission, expired or cancelled in the queue). The engine
-/// never saw the query, so the pool writes the trail entry itself,
-/// through the same outcome mapping Execute uses.
-void RecordPoolAudit(obs::AuditSink* sink, const std::string& policy,
-                     const std::string& query, const Status& status) {
-  if (sink == nullptr) return;
-  obs::AuditEvent event;
-  event.unix_micros = obs::AuditEvent::NowUnixMicros();
-  event.policy = policy;
-  event.query = query;
-  event.outcome = obs::AuditOutcomeForStatus(status);
-  event.status = StatusCodeToString(status.code());
-  event.error = status.message();
-  sink->Record(event);
-}
-
-}  // namespace
 
 QueryWorkerPool::QueryWorkerPool(SecureQueryEngine& engine)
     : QueryWorkerPool(engine, Options{}) {}
@@ -123,19 +101,16 @@ std::vector<Result<ExecuteResult>> QueryWorkerPool::ExecuteBatch(
     Result<ExecuteResult> result = [&]() -> Result<ExecuteResult> {
       if (opts.cancel.cancelled()) {
         Status st = Status::Cancelled("query cancelled while queued");
-        RecordPoolAudit(opts.audit, policy, queries[i], st);
-        engine_.RecordServingOutcome(policy, queries[i], st, 0);
+        engine_.RecordServingOutcome(policy, queries[i], st, 0, opts.audit);
         return st;
       }
       if (deadline_ms > 0) {
         auto now = std::chrono::steady_clock::now();
         if (now >= deadline) {
-          engine_.metrics().GetCounter("engine.rejected.deadline").Add();
           Status st = Status::DeadlineExceeded(
               "deadline of " + std::to_string(deadline_ms) +
               " ms expired while the query was queued");
-          RecordPoolAudit(opts.audit, policy, queries[i], st);
-          engine_.RecordServingOutcome(policy, queries[i], st, 0);
+          engine_.RecordServingOutcome(policy, queries[i], st, 0, opts.audit);
           return st;
         }
         auto remaining_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -189,8 +164,8 @@ std::vector<Result<ExecuteResult>> QueryWorkerPool::ExecuteBatch(
                           "query shed: the pool's submission queue is full "
                           "(cap " +
                           std::to_string(options_.queue_cap) + ")");
-    RecordPoolAudit(task_options.audit, policy, queries[i], st);
-    engine_.RecordServingOutcome(policy, queries[i], st, 0);
+    engine_.RecordServingOutcome(policy, queries[i], st, 0,
+                                 task_options.audit);
     std::lock_guard<std::mutex> slot_lock(state->mu);
     state->results[i] = std::move(st);
     if (--state->remaining == 0) state->done_cv.notify_all();

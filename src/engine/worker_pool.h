@@ -54,6 +54,11 @@ namespace secview {
 ///    next budget checkpoint. Batches submitted afterwards run clean.
 ///    The pool installs its own CancelToken into every task, replacing
 ///    any caller-provided token.
+///
+/// A task the pool sheds, expires or cancels never reaches Execute. The
+/// pool hands it to SecureQueryEngine::RecordServingOutcome with the
+/// batch's audit sink, which publishes it like an executed query: the
+/// observers, the error counters, one audit event and audit.events.
 class QueryWorkerPool {
  public:
   struct Options {

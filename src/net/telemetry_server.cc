@@ -1,5 +1,6 @@
 #include "net/telemetry_server.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string_view>
@@ -41,6 +42,16 @@ void AppendWindow(std::ostringstream& out,
         << "us, p99 " << (w.p99_overflow ? ">" : "") << w.p99_micros << "us";
   }
   out << "\n";
+}
+
+/// Splits a request target into its path and its query string, the
+/// query keeping its '?': "/tracez?format=json" is {"/tracez",
+/// "?format=json"}, a bare path has an empty query, and "/tracez?" has
+/// the unknown query "?".
+std::pair<std::string_view, std::string_view> SplitTarget(
+    std::string_view target) {
+  const size_t q = std::min(target.find('?'), target.size());
+  return {target.substr(0, q), target.substr(q)};
 }
 
 }  // namespace
@@ -86,27 +97,28 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
     response.body += "\n";
     return response;
   }
-  if (target == "/tracez" || target.rfind("/tracez?", 0) == 0) {
+  const auto [path, query] = SplitTarget(target);
+  if (path == "/tracez") {
     if (options_.traces == nullptr) {
       return HttpResponse::Text(200, "no request-trace store attached\n");
     }
-    if (target == "/tracez?format=json") {
+    if (query == "?format=json") {
       HttpResponse response;
       response.content_type = "application/x-ndjson";
       response.body = options_.traces->SnapshotJsonl();
       return response;
     }
-    if (target != "/tracez") {
+    if (!query.empty()) {
       return HttpResponse::Text(400, "unknown /tracez parameter (try "
                                      "/tracez or /tracez?format=json)\n");
     }
     return HttpResponse::Text(200, options_.traces->SnapshotText());
   }
-  if (target == "/profilez" || target.rfind("/profilez?", 0) == 0) {
+  if (path == "/profilez") {
     if (options_.plan_profiles == nullptr) {
       return HttpResponse::Text(200, "no plan-profile table attached\n");
     }
-    if (target == "/profilez?format=json") {
+    if (query == "?format=json") {
       HttpResponse response;
       response.content_type = "application/json";
       response.body =
@@ -117,16 +129,16 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
       return response;
     }
     size_t top_k = 20;
-    if (target != "/profilez") {
-      constexpr std::string_view kTopK = "/profilez?k=";
-      if (target.rfind(kTopK, 0) != 0) {
+    if (!query.empty()) {
+      constexpr std::string_view kTopK = "?k=";
+      if (query.substr(0, kTopK.size()) != kTopK) {
         return HttpResponse::Text(400,
                                   "unknown /profilez parameter (try "
                                   "/profilez, /profilez?k=N, or "
                                   "/profilez?format=json)\n");
       }
       top_k = 0;
-      for (char c : std::string_view(target).substr(kTopK.size())) {
+      for (char c : query.substr(kTopK.size())) {
         if (c < '0' || c > '9') {
           return HttpResponse::Text(400, "bad /profilez?k= value\n");
         }
@@ -139,9 +151,9 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
                                         top_k,
                                         options_.plan_profiles->queries()));
   }
-  if (target == "/memz" || target.rfind("/memz?", 0) == 0) {
+  if (path == "/memz") {
     const obs::MemLedger& ledger = obs::MemLedger::Instance();
-    if (target == "/memz?format=json") {
+    if (query == "?format=json") {
       obs::Json process = obs::Json::Object();
       process.Set("resident_bytes", ProcessResidentBytes());
       process.Set("peak_resident_bytes", ProcessPeakResidentBytes());
@@ -165,7 +177,7 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
       response.body += "\n";
       return response;
     }
-    if (target != "/memz") {
+    if (!query.empty()) {
       return HttpResponse::Text(
           400, "unknown /memz parameter (try /memz or /memz?format=json)\n");
     }
@@ -297,7 +309,9 @@ std::string TelemetryServer::RenderStatusz() const {
 
   // Audit delivery: the sink degrades by dropping events (after retry)
   // rather than stalling queries, so dropped > 0 is the signal that the
-  // trail has gaps (audit-verify reports the exact sequence holes).
+  // trail has gaps (audit-verify reports the exact sequence holes). The
+  // engine registers audit.events up front, so the section shows once
+  // an event was written or a sink registered audit.dropped.
   uint64_t audit_events = 0;
   uint64_t audit_dropped = 0;
   bool have_audit = false;
@@ -305,14 +319,14 @@ std::string TelemetryServer::RenderStatusz() const {
     std::string_view n = name;
     if (n == "audit.events") {
       audit_events = value;
-      have_audit = true;
+      have_audit = have_audit || value > 0;
     }
     if (n == "audit.dropped") {
       audit_dropped = value;
       have_audit = true;
     }
   }
-  if (have_audit || audit_dropped > 0) {
+  if (have_audit) {
     out << "\naudit\n";
     out << "  " << audit_events << " events written, " << audit_dropped
         << " dropped";

@@ -47,15 +47,6 @@ Json AuditEvent::ToJson() const {
   return j;
 }
 
-const char* AuditOutcomeForStatus(const Status& status) {
-  if (status.ok()) return "ok";
-  if (status.IsDeadlineExceeded() || status.IsResourceExhausted()) {
-    return "timeout";
-  }
-  if (status.IsCancelled()) return "shed";
-  return "denied";
-}
-
 int64_t AuditEvent::NowUnixMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())

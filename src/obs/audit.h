@@ -37,6 +37,7 @@ struct AuditEvent {
   std::string policy;
   std::string query;
 
+  /// ServeOutcomeName of the execution status (obs/serving_stats.h):
   /// "ok" for answered queries; failures are split by cause:
   ///   "denied"  — policy/input failures (unknown policy, malformed
   ///               query, unbound parameters, limit violations, ...),
@@ -85,7 +86,8 @@ struct AuditEvent {
 
 /// Destination for audit events. Implementations must tolerate being
 /// called from several threads; the engine calls Record exactly once per
-/// Execute, for successes and failures alike.
+/// audited query, for successes and failures alike, and also for a
+/// query a worker pool sheds, expires or cancels without executing it.
 class AuditSink {
  public:
   virtual ~AuditSink() = default;
@@ -175,13 +177,6 @@ class JsonlAuditLog : public AuditSink {
   std::atomic<Counter*> dropped_counter_{nullptr};
   std::atomic<HealthTracker*> health_{nullptr};
 };
-
-/// Maps an execution status to its audit outcome: "ok" for OK,
-/// "timeout" for DeadlineExceeded/ResourceExhausted, "shed" for
-/// Cancelled, "denied" for every other failure. The engine and the
-/// worker pool both record through this mapping so the trail's outcome
-/// taxonomy is consistent.
-const char* AuditOutcomeForStatus(const Status& status);
 
 /// Checks that `line` is a valid secview.audit.v1 record: parseable
 /// JSON object, correct schema tag, all required fields present with the

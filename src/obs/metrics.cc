@@ -6,58 +6,65 @@
 
 namespace secview::obs {
 
-Histogram::Histogram(std::vector<uint64_t> bounds) : bounds_(std::move(bounds)) {
+BucketBounds::BucketBounds(std::vector<uint64_t> bounds)
+    : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
+}
+
+size_t BucketBounds::BucketOf(uint64_t sample) const {
+  return std::lower_bound(bounds_.begin(), bounds_.end(), sample) -
+         bounds_.begin();
+}
+
+PercentileEstimate BucketBounds::Percentile(
+    const std::vector<uint64_t>& counts, double p) const {
+  PercentileEstimate estimate;
+  uint64_t total = 0;
+  for (uint64_t c : counts) total += c;
+  if (total == 0) return estimate;
+  p = std::clamp(p, 0.0, 1.0);
+  const uint64_t rank = std::clamp<uint64_t>(
+      static_cast<uint64_t>(std::ceil(p * static_cast<double>(total))), 1,
+      total);
+  size_t i = 0;
+  uint64_t seen = counts[0];
+  while (seen < rank) seen += counts[++i];
+  estimate.overflow = i == bounds_.size();
+  if (!estimate.overflow) {
+    estimate.value = bounds_[i];
+  } else if (!bounds_.empty()) {
+    estimate.value = bounds_.back();
+  }
+  return estimate;
+}
+
+Histogram::Histogram(std::vector<uint64_t> bounds)
+    : bounds_(std::move(bounds)),
+      buckets_(std::make_unique<std::atomic<uint64_t>[]>(bounds_.buckets())) {
+  for (size_t i = 0; i < bounds_.buckets(); ++i) buckets_[i] = 0;
 }
 
 void Histogram::Observe(uint64_t sample) {
-  size_t i =
-      std::lower_bound(bounds_.begin(), bounds_.end(), sample) - bounds_.begin();
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bounds_.BucketOf(sample)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(sample, std::memory_order_relaxed);
 }
 
 std::vector<uint64_t> Histogram::BucketCounts() const {
-  std::vector<uint64_t> out(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
+  std::vector<uint64_t> out(bounds_.buckets());
+  for (size_t i = 0; i < out.size(); ++i) {
     out[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return out;
 }
 
 uint64_t Histogram::OverflowCount() const {
-  return buckets_[bounds_.size()].load(std::memory_order_relaxed);
+  return buckets_[bounds_.buckets() - 1].load(std::memory_order_relaxed);
 }
 
 PercentileEstimate Histogram::ApproxPercentileEstimate(double p) const {
-  PercentileEstimate estimate;
-  uint64_t total = count();
-  if (total == 0) return estimate;
-  p = std::min(std::max(p, 0.0), 1.0);
-  // Nearest-rank: the ceil(p*n)-th smallest sample, so p99 over 10+
-  // samples reaches the actual tail instead of stopping one short.
-  uint64_t rank = static_cast<uint64_t>(
-      std::ceil(p * static_cast<double>(total)));
-  rank = std::min(std::max<uint64_t>(rank, 1), total);
-  uint64_t seen = 0;
-  std::vector<uint64_t> counts = BucketCounts();
-  for (size_t i = 0; i < counts.size(); ++i) {
-    seen += counts[i];
-    if (seen >= rank) {
-      estimate.overflow = i >= bounds_.size();
-      estimate.value = estimate.overflow
-                           ? (bounds_.empty() ? 0 : bounds_.back())
-                           : bounds_[i];
-      return estimate;
-    }
-  }
-  estimate.overflow = true;
-  estimate.value = bounds_.empty() ? 0 : bounds_.back();
-  return estimate;
+  return bounds_.Percentile(BucketCounts(), p);
 }
 
 uint64_t Histogram::ApproxPercentile(double p) const {
@@ -65,7 +72,7 @@ uint64_t Histogram::ApproxPercentile(double p) const {
 }
 
 void Histogram::Reset() {
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
+  for (size_t i = 0; i < bounds_.buckets(); ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
   }
   count_.store(0, std::memory_order_relaxed);

@@ -50,9 +50,33 @@ struct PercentileEstimate {
   bool overflow = false;
 };
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the
-/// first N buckets, with an implicit +inf overflow bucket. Observations
-/// and bucket bumps are relaxed atomics; the bucket layout is immutable
+/// A bucket layout: sorted, de-duplicated inclusive upper bounds of the
+/// first N buckets, with an implicit +inf overflow bucket after them.
+/// Histogram, SlidingWindowStats and PolicyStatsTable all bucket through
+/// it and all read their percentiles off Percentile().
+class BucketBounds {
+ public:
+  explicit BucketBounds(std::vector<uint64_t> bounds);
+
+  const std::vector<uint64_t>& values() const { return bounds_; }
+  /// Number of buckets, the overflow bucket included.
+  size_t buckets() const { return bounds_.size() + 1; }
+  /// Index of the bucket holding `sample`.
+  size_t BucketOf(uint64_t sample) const;
+
+  /// Nearest-rank p-quantile of `counts` (buckets() entries): the upper
+  /// bound of the bucket holding the ceil(p*n)-th smallest sample, so
+  /// p99 over 10+ samples reaches the actual tail instead of stopping
+  /// one short. {0, false} when `counts` holds no samples.
+  PercentileEstimate Percentile(const std::vector<uint64_t>& counts,
+                                double p) const;
+
+ private:
+  std::vector<uint64_t> bounds_;
+};
+
+/// Fixed-bucket histogram over a BucketBounds layout. Observations and
+/// bucket bumps are relaxed atomics; the bucket layout is immutable
 /// after construction, so concurrent Observe calls never contend on a
 /// lock.
 class Histogram {
@@ -63,7 +87,7 @@ class Histogram {
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  const std::vector<uint64_t>& bounds() const { return bounds_; }
+  const std::vector<uint64_t>& bounds() const { return bounds_.values(); }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
   std::vector<uint64_t> BucketCounts() const;
   /// Samples that exceeded every finite bound (the +Inf bucket count).
@@ -83,7 +107,7 @@ class Histogram {
   void Reset();
 
  private:
-  std::vector<uint64_t> bounds_;
+  BucketBounds bounds_;
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};

@@ -1,7 +1,6 @@
 #include "obs/policy_stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
 #include "obs/export.h"
@@ -14,10 +13,7 @@ PolicyStatsTable::PolicyStatsTable(Options options)
                   ? MetricsRegistry::DefaultLatencyBounds()
                   : std::move(options.latency_bounds)),
       stripes_n_(std::max<size_t>(options.stripes, 1)),
-      stripes_(std::make_unique<Stripe[]>(stripes_n_)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-}
+      stripes_(std::make_unique<Stripe[]>(stripes_n_)) {}
 
 size_t PolicyStatsTable::StripeFor(std::string_view policy) const {
   return std::hash<std::string_view>{}(policy) % stripes_n_;
@@ -30,23 +26,15 @@ void PolicyStatsTable::Record(std::string_view policy, ServeOutcome outcome,
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.entries.find(policy);
   if (it == stripe.entries.end()) {
-    it = stripe.entries.emplace(std::string(policy), Entry{}).first;
-    it->second.latency.assign(bounds_.size() + 1, 0);
+    it = stripe.entries
+             .emplace(std::string(policy), Entry{LatencyTally(&bounds_)})
+             .first;
   }
   Entry& entry = it->second;
-  ++entry.queries;
-  switch (outcome) {
-    case ServeOutcome::kOk: ++entry.ok; break;
-    case ServeOutcome::kDenied: ++entry.denied; break;
-    case ServeOutcome::kTimeout: ++entry.timeout; break;
-    case ServeOutcome::kShed: ++entry.shed; break;
-  }
+  entry.tally.Record(latency_micros, outcome);
   entry.nodes_touched += nodes_touched;
   entry.alloc_bytes += alloc_bytes;
   entry.latency_sum_micros += latency_micros;
-  size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), latency_micros) -
-             bounds_.begin();
-  ++entry.latency[i];
 }
 
 std::vector<PolicyStatsTable::PolicySnapshot> PolicyStatsTable::Snapshot()
@@ -57,40 +45,12 @@ std::vector<PolicyStatsTable::PolicySnapshot> PolicyStatsTable::Snapshot()
     std::lock_guard<std::mutex> lock(stripe.mu);
     for (const auto& [policy, entry] : stripe.entries) {
       PolicySnapshot row;
+      static_cast<OutcomeSummary&>(row) = entry.tally.Summary();
       row.policy = policy;
-      row.queries = entry.queries;
-      row.ok = entry.ok;
-      row.denied = entry.denied;
-      row.timeout = entry.timeout;
-      row.shed = entry.shed;
+      row.queries = entry.tally.count();
       row.nodes_touched = entry.nodes_touched;
       row.alloc_bytes = entry.alloc_bytes;
       row.latency_sum_micros = entry.latency_sum_micros;
-      auto percentile = [&](double p) {
-        // Nearest-rank, matching SlidingWindowStats::Snapshot.
-        uint64_t rank = static_cast<uint64_t>(
-            std::ceil(p * static_cast<double>(entry.queries)));
-        rank = std::min(std::max<uint64_t>(rank, 1), entry.queries);
-        uint64_t seen = 0;
-        for (size_t i = 0; i < entry.latency.size(); ++i) {
-          seen += entry.latency[i];
-          if (seen >= rank) {
-            bool overflow = i >= bounds_.size();
-            uint64_t value =
-                overflow ? (bounds_.empty() ? 0 : bounds_.back()) : bounds_[i];
-            return std::pair<uint64_t, bool>(value, overflow);
-          }
-        }
-        return std::pair<uint64_t, bool>(bounds_.empty() ? 0 : bounds_.back(),
-                                         true);
-      };
-      if (entry.queries > 0) {
-        row.p50_micros = percentile(0.50).first;
-        row.p95_micros = percentile(0.95).first;
-        auto [p99, p99_overflow] = percentile(0.99);
-        row.p99_micros = p99;
-        row.p99_overflow = p99_overflow;
-      }
       rows.push_back(std::move(row));
     }
   }
@@ -115,7 +75,7 @@ uint64_t PolicyStatsTable::total() const {
   for (size_t s = 0; s < stripes_n_; ++s) {
     std::lock_guard<std::mutex> lock(stripes_[s].mu);
     for (const auto& [policy, entry] : stripes_[s].entries) {
-      n += entry.queries;
+      n += entry.tally.count();
     }
   }
   return n;

@@ -36,6 +36,8 @@ class PolicyStatsTable {
 
   PolicyStatsTable() : PolicyStatsTable(Options{}) {}
   explicit PolicyStatsTable(Options options);
+  PolicyStatsTable(const PolicyStatsTable&) = delete;
+  PolicyStatsTable& operator=(const PolicyStatsTable&) = delete;
 
   /// Accounts one finished query under `policy`. `nodes_touched` and
   /// `alloc_bytes` may be zero when unknown (e.g. a query shed before
@@ -44,23 +46,12 @@ class PolicyStatsTable {
               uint64_t latency_micros, uint64_t nodes_touched,
               uint64_t alloc_bytes);
 
-  struct PolicySnapshot {
+  struct PolicySnapshot : OutcomeSummary {
     std::string policy;
     uint64_t queries = 0;
-    uint64_t ok = 0;
-    uint64_t denied = 0;
-    uint64_t timeout = 0;
-    uint64_t shed = 0;
     uint64_t nodes_touched = 0;
     uint64_t alloc_bytes = 0;
     uint64_t latency_sum_micros = 0;
-    /// Nearest-rank percentiles off the bucket bounds; when p99_overflow
-    /// is set the p99 landed past the largest finite bound and the value
-    /// is a lower bound, not an estimate.
-    uint64_t p50_micros = 0;
-    uint64_t p95_micros = 0;
-    uint64_t p99_micros = 0;
-    bool p99_overflow = false;
   };
 
   /// Consistent-enough copy of every policy's rollup, sorted by policy
@@ -76,16 +67,10 @@ class PolicyStatsTable {
 
  private:
   struct Entry {
-    uint64_t queries = 0;
-    uint64_t ok = 0;
-    uint64_t denied = 0;
-    uint64_t timeout = 0;
-    uint64_t shed = 0;
+    LatencyTally tally;
     uint64_t nodes_touched = 0;
     uint64_t alloc_bytes = 0;
     uint64_t latency_sum_micros = 0;
-    /// bounds.size() + 1 slots; last is the +Inf overflow bucket.
-    std::vector<uint64_t> latency;
   };
   struct Stripe {
     mutable std::mutex mu;
@@ -94,7 +79,7 @@ class PolicyStatsTable {
 
   size_t StripeFor(std::string_view policy) const;
 
-  std::vector<uint64_t> bounds_;
+  BucketBounds bounds_;
   size_t stripes_n_;
   std::unique_ptr<Stripe[]> stripes_;
 };

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-
-#include "obs/metrics.h"
+#include <iterator>
 
 namespace secview::obs {
 
@@ -25,6 +23,39 @@ const char* ServeOutcomeName(ServeOutcome outcome) {
     case ServeOutcome::kShed: return "shed";
   }
   return "unknown";
+}
+
+void LatencyTally::Record(uint64_t latency_micros, ServeOutcome outcome) {
+  ++outcomes_[static_cast<size_t>(outcome)];
+  ++latency_[bounds_->BucketOf(latency_micros)];
+}
+
+void LatencyTally::Add(const LatencyTally& other) {
+  for (size_t i = 0; i < 4; ++i) outcomes_[i] += other.outcomes_[i];
+  for (size_t i = 0; i < latency_.size(); ++i) latency_[i] += other.latency_[i];
+}
+
+void LatencyTally::Clear() {
+  std::fill(std::begin(outcomes_), std::end(outcomes_), 0);
+  std::fill(latency_.begin(), latency_.end(), 0);
+}
+
+uint64_t LatencyTally::count() const {
+  return outcomes_[0] + outcomes_[1] + outcomes_[2] + outcomes_[3];
+}
+
+OutcomeSummary LatencyTally::Summary() const {
+  OutcomeSummary summary;
+  summary.ok = outcomes_[static_cast<size_t>(ServeOutcome::kOk)];
+  summary.denied = outcomes_[static_cast<size_t>(ServeOutcome::kDenied)];
+  summary.timeout = outcomes_[static_cast<size_t>(ServeOutcome::kTimeout)];
+  summary.shed = outcomes_[static_cast<size_t>(ServeOutcome::kShed)];
+  summary.p50_micros = bounds_->Percentile(latency_, 0.50).value;
+  summary.p95_micros = bounds_->Percentile(latency_, 0.95).value;
+  const PercentileEstimate p99 = bounds_->Percentile(latency_, 0.99);
+  summary.p99_micros = p99.value;
+  summary.p99_overflow = p99.overflow;
+  return summary;
 }
 
 namespace {
@@ -48,10 +79,8 @@ SlidingWindowStats::SlidingWindowStats(Options options)
       buckets_(std::make_unique<Bucket[]>(buckets_n_)),
       now_micros_(options.now_micros ? std::move(options.now_micros)
                                      : SteadyNowMicros) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
   for (size_t i = 0; i < buckets_n_; ++i) {
-    buckets_[i].latency.assign(bounds_.size() + 1, 0);
+    buckets_[i].tally = LatencyTally(&bounds_);
   }
 }
 
@@ -59,27 +88,16 @@ int64_t SlidingWindowStats::NowSecond() const {
   return static_cast<int64_t>(now_micros_() / 1'000'000);
 }
 
-void SlidingWindowStats::ResetBucketLocked(Bucket& bucket, int64_t second) {
-  bucket.second = second;
-  bucket.ok = bucket.denied = bucket.timeout = bucket.shed = 0;
-  std::fill(bucket.latency.begin(), bucket.latency.end(), 0);
-}
-
 void SlidingWindowStats::Record(uint64_t latency_micros, ServeOutcome outcome) {
   int64_t second = NowSecond();
   Bucket& bucket = buckets_[static_cast<size_t>(second) % buckets_n_];
   {
     std::lock_guard<std::mutex> lock(bucket.mu);
-    if (bucket.second != second) ResetBucketLocked(bucket, second);
-    switch (outcome) {
-      case ServeOutcome::kOk: ++bucket.ok; break;
-      case ServeOutcome::kDenied: ++bucket.denied; break;
-      case ServeOutcome::kTimeout: ++bucket.timeout; break;
-      case ServeOutcome::kShed: ++bucket.shed; break;
+    if (bucket.second != second) {
+      bucket.second = second;
+      bucket.tally.Clear();
     }
-    size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), latency_micros) -
-               bounds_.begin();
-    ++bucket.latency[i];
+    bucket.tally.Record(latency_micros, outcome);
   }
   std::lock_guard<std::mutex> lock(total_mu_);
   ++total_;
@@ -92,19 +110,16 @@ SlidingWindowStats::Window SlidingWindowStats::Snapshot(
       1, std::min<uint64_t>(seconds, static_cast<uint64_t>(buckets_n_)));
   int64_t now = NowSecond();
   int64_t oldest = now - static_cast<int64_t>(window.seconds) + 1;
-  std::vector<uint64_t> latency(bounds_.size() + 1, 0);
+  LatencyTally sum(&bounds_);
   for (int64_t s = oldest; s <= now; ++s) {
     if (s < 0) continue;
     const Bucket& bucket = buckets_[static_cast<size_t>(s) % buckets_n_];
     std::lock_guard<std::mutex> lock(bucket.mu);
     if (bucket.second != s) continue;  // stale or never filled
-    window.ok += bucket.ok;
-    window.denied += bucket.denied;
-    window.timeout += bucket.timeout;
-    window.shed += bucket.shed;
-    for (size_t i = 0; i < latency.size(); ++i) latency[i] += bucket.latency[i];
+    sum.Add(bucket.tally);
   }
-  window.count = window.ok + window.denied + window.timeout + window.shed;
+  static_cast<OutcomeSummary&>(window) = sum.Summary();
+  window.count = sum.count();
   window.qps =
       static_cast<double>(window.count) / static_cast<double>(window.seconds);
   if (window.count > 0) {
@@ -113,29 +128,6 @@ SlidingWindowStats::Window SlidingWindowStats::Snapshot(
         static_cast<double>(errors) / static_cast<double>(window.count);
     window.shed_rate =
         static_cast<double>(window.shed) / static_cast<double>(window.count);
-    auto percentile = [&](double p) {
-      // Nearest-rank, matching Histogram::ApproxPercentileEstimate.
-      uint64_t rank = static_cast<uint64_t>(
-          std::ceil(p * static_cast<double>(window.count)));
-      rank = std::min(std::max<uint64_t>(rank, 1), window.count);
-      uint64_t seen = 0;
-      for (size_t i = 0; i < latency.size(); ++i) {
-        seen += latency[i];
-        if (seen >= rank) {
-          bool overflow = i >= bounds_.size();
-          uint64_t value =
-              overflow ? (bounds_.empty() ? 0 : bounds_.back()) : bounds_[i];
-          return std::pair<uint64_t, bool>(value, overflow);
-        }
-      }
-      return std::pair<uint64_t, bool>(bounds_.empty() ? 0 : bounds_.back(),
-                                       true);
-    };
-    window.p50_micros = percentile(0.50).first;
-    window.p95_micros = percentile(0.95).first;
-    auto [p99, p99_overflow] = percentile(0.99);
-    window.p99_micros = p99;
-    window.p99_overflow = p99_overflow;
   }
   return window;
 }

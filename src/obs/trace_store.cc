@@ -64,10 +64,9 @@ RequestTraceStore::RequestTraceStore(Options options) : options_(options) {
 }
 
 void RequestTraceStore::Offer(std::string_view policy, std::string_view query,
-                              const Status& status, uint64_t latency_micros,
+                              ServeOutcome outcome, uint64_t latency_micros,
                               Trace& trace) {
   const uint64_t seq = offered_.fetch_add(1, std::memory_order_relaxed);
-  const ServeOutcome outcome = ServeOutcomeForStatus(status);
   const bool sampled =
       options_.sample_every != 0 && seq % options_.sample_every == 0;
   const bool slow = latency_micros >= options_.slow_micros;

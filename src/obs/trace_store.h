@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
 #include "obs/json.h"
 #include "obs/serving_stats.h"
 #include "obs/trace.h"
@@ -70,7 +69,7 @@ class RequestTraceStore {
   /// Offers one finished request; finishes the trace, applies the
   /// sampling decision, and retains a ring entry if it qualifies.
   void Offer(std::string_view policy, std::string_view query,
-             const Status& status, uint64_t latency_micros, Trace& trace);
+             ServeOutcome outcome, uint64_t latency_micros, Trace& trace);
 
   /// Newest-first copy of the retained entries.
   std::vector<Entry> Snapshot() const;

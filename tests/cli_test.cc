@@ -858,7 +858,7 @@ std::string TwoTraceJsonl() {
       obs::ScopedSpan span(&trace, "evaluate");
       span.SetAttr("nodes_touched", 42);
     }
-    store.Offer("nurse", q, Status::OK(), 120, trace);
+    store.Offer("nurse", q, obs::ServeOutcome::kOk, 120, trace);
   }
   return store.SnapshotJsonl();
 }

@@ -615,8 +615,8 @@ TEST(ConcurrentObsTest, TraceStoreOfferAndSnapshotRace) {
           obs::ScopedSpan span(&trace, "evaluate");
           span.SetAttr("writer", t);
         }
-        store.Offer("policy" + std::to_string(t), "//q", Status::OK(),
-                    static_cast<uint64_t>(i), trace);
+        store.Offer("policy" + std::to_string(t), "//q",
+                    obs::ServeOutcome::kOk, static_cast<uint64_t>(i), trace);
       }
     });
   }

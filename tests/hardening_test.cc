@@ -548,6 +548,9 @@ TEST_F(EngineBudgetTest, PoolShedRecordsAuditEvents) {
     if (event.outcome == "timeout") ++shed_events;
   }
   EXPECT_EQ(shed_events, 2u);  // shed = ResourceExhausted = "timeout"
+  // The shed queries' events are counted like the executed one's.
+  EXPECT_EQ(engine_->metrics().GetCounter("audit.events").value(),
+            sink.events().size());
 }
 
 TEST_F(EngineBudgetTest, PoolDeadlineCoversQueueWait) {

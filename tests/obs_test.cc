@@ -654,7 +654,7 @@ TEST(TraceStoreTest, DisabledByDefault) {
   EXPECT_FALSE(store.enabled());
   Trace trace("q");
   FillTrace(trace);
-  store.Offer("nurse", "//a", Status::OK(), 10, trace);
+  store.Offer("nurse", "//a", ServeOutcome::kOk, 10, trace);
   EXPECT_TRUE(store.Snapshot().empty());
 }
 
@@ -666,7 +666,7 @@ TEST(TraceStoreTest, SamplesEveryNth) {
   for (int i = 0; i < 9; ++i) {
     Trace trace("q");
     FillTrace(trace);
-    store.Offer("nurse", "//a", Status::OK(), 10, trace);
+    store.Offer("nurse", "//a", ServeOutcome::kOk, 10, trace);
   }
   EXPECT_EQ(store.offered(), 9u);
   std::vector<RequestTraceStore::Entry> entries = store.Snapshot();
@@ -687,27 +687,27 @@ TEST(TraceStoreTest, AlwaysKeepsSlowAndNonOk) {
     // assertions below isolate the always-keep rules.
     Trace t("warmup");
     FillTrace(t);
-    store.Offer("p", "//warmup", Status::OK(), 10, t);
+    store.Offer("p", "//warmup", ServeOutcome::kOk, 10, t);
   }
   {
     Trace t("fast");
     FillTrace(t);
-    store.Offer("p", "//fast", Status::OK(), 10, t);
+    store.Offer("p", "//fast", ServeOutcome::kOk, 10, t);
   }
   {
     Trace t("slow");
     FillTrace(t);
-    store.Offer("p", "//slow", Status::OK(), 900, t);
+    store.Offer("p", "//slow", ServeOutcome::kOk, 900, t);
   }
   {
     Trace t("denied");
     FillTrace(t);
-    store.Offer("p", "//denied", Status::InvalidArgument("no"), 20, t);
+    store.Offer("p", "//denied", ServeOutcome::kDenied, 20, t);
   }
   {
     Trace t("timeout");
     FillTrace(t);
-    store.Offer("p", "//deadline", Status::DeadlineExceeded("late"), 30, t);
+    store.Offer("p", "//deadline", ServeOutcome::kTimeout, 30, t);
   }
   std::vector<RequestTraceStore::Entry> entries = store.Snapshot();
   ASSERT_EQ(entries.size(), 4u);  // newest first; "fast" dropped
@@ -727,7 +727,7 @@ TEST(TraceStoreTest, RingWrapsKeepingNewest) {
   for (int i = 0; i < 10; ++i) {
     Trace t("q");
     FillTrace(t);
-    store.Offer("p", "//q" + std::to_string(i), Status::OK(), 10, t);
+    store.Offer("p", "//q" + std::to_string(i), ServeOutcome::kOk, 10, t);
   }
   std::vector<RequestTraceStore::Entry> entries = store.Snapshot();
   ASSERT_EQ(entries.size(), 4u);
@@ -743,7 +743,7 @@ TEST(TraceStoreTest, TraceIdsUniqueAndStableAcrossScrapes) {
   for (int i = 0; i < 8; ++i) {
     Trace t("q");
     FillTrace(t);
-    store.Offer("p", "//a", Status::OK(), 10, t);
+    store.Offer("p", "//a", ServeOutcome::kOk, 10, t);
   }
   std::vector<RequestTraceStore::Entry> first = store.Snapshot();
   std::vector<RequestTraceStore::Entry> second = store.Snapshot();
@@ -767,7 +767,7 @@ TEST(TraceStoreTest, JsonlAndTextRenderings) {
   RequestTraceStore store(options);
   Trace t("q");
   FillTrace(t);
-  store.Offer("nurse", "//patient//bill", Status::OK(), 42, t);
+  store.Offer("nurse", "//patient//bill", ServeOutcome::kOk, 42, t);
 
   std::string jsonl = store.SnapshotJsonl();
   ASSERT_FALSE(jsonl.empty());
@@ -796,10 +796,10 @@ std::string OneTraceJsonl() {
   RequestTraceStore store(options);
   Trace t("q");
   FillTrace(t);
-  store.Offer("nurse", "//patient//bill", Status::OK(), 42, t);
+  store.Offer("nurse", "//patient//bill", ServeOutcome::kOk, 42, t);
   Trace slow("q");
   FillTrace(slow);
-  store.Offer("admin", "//audit", Status::InvalidArgument("x"), 10, slow);
+  store.Offer("admin", "//audit", ServeOutcome::kDenied, 10, slow);
   return store.SnapshotJsonl();
 }
 

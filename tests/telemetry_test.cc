@@ -23,6 +23,7 @@
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/mem_ledger.h"
+#include "obs/metrics.h"
 #include "obs/plan_profile.h"
 #include "obs/policy_stats.h"
 #include "obs/serving_stats.h"
@@ -139,6 +140,69 @@ TEST_F(WindowTest, TailBeyondLastBoundIsFlaggedAsOverflow) {
   obs::SlidingWindowStats::Window w = stats.Snapshot(10);
   EXPECT_EQ(w.p99_micros, 100u) << "clamped to the last finite bound";
   EXPECT_TRUE(w.p99_overflow) << "but marked as a lower bound";
+}
+
+// Histogram, SlidingWindowStats and PolicyStatsTable all read their
+// percentiles off one obs::BucketBounds: the same samples must give the
+// same p50/p95/p99 and the same overflow flag in all three.
+TEST_F(WindowTest, HistogramWindowAndPolicyTableShareOnePercentile) {
+  const std::vector<uint64_t> bounds = {10, 100, 1000};
+  struct Case {
+    const char* name;
+    std::vector<uint64_t> samples;
+    uint64_t p50, p95, p99;
+    bool p99_overflow;
+  };
+  // 19 samples on the 10 bound and one at 100: the p95 rank (19 of 20)
+  // is the last sample of the first bucket, exactly on its edge.
+  std::vector<uint64_t> edge(19, 10);
+  edge.push_back(100);
+  const Case cases[] = {
+      {"empty", {}, 0, 0, 0, false},
+      {"one sample", {50}, 100, 100, 100, false},
+      {"rank on a bucket edge", edge, 10, 10, 100, false},
+      {"every sample past the last bound", {5000, 6000, 7000}, 1000, 1000,
+       1000, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    obs::Histogram histogram(bounds);
+    obs::SlidingWindowStats::Options window_options;
+    window_options.latency_bounds = bounds;
+    window_options.now_micros = [this] { return now_micros_; };
+    obs::SlidingWindowStats window(std::move(window_options));
+    obs::PolicyStatsTable::Options table_options;
+    table_options.latency_bounds = bounds;
+    obs::PolicyStatsTable table(table_options);
+    for (uint64_t sample : c.samples) {
+      histogram.Observe(sample);
+      window.Record(sample, obs::ServeOutcome::kOk);
+      table.Record("nurse", obs::ServeOutcome::kOk, sample, 0, 0);
+    }
+    const obs::SlidingWindowStats::Window w = window.Snapshot(10);
+    const std::vector<obs::PolicyStatsTable::PolicySnapshot> rows =
+        table.Snapshot();
+    const obs::PolicyStatsTable::PolicySnapshot row =
+        rows.empty() ? obs::PolicyStatsTable::PolicySnapshot{} : rows[0];
+    const obs::PercentileEstimate h50 =
+        histogram.ApproxPercentileEstimate(0.50);
+    const obs::PercentileEstimate h95 =
+        histogram.ApproxPercentileEstimate(0.95);
+    const obs::PercentileEstimate h99 =
+        histogram.ApproxPercentileEstimate(0.99);
+    EXPECT_EQ(h50.value, c.p50);
+    EXPECT_EQ(h95.value, c.p95);
+    EXPECT_EQ(h99.value, c.p99);
+    EXPECT_EQ(h99.overflow, c.p99_overflow);
+    EXPECT_EQ(w.p50_micros, h50.value);
+    EXPECT_EQ(w.p95_micros, h95.value);
+    EXPECT_EQ(w.p99_micros, h99.value);
+    EXPECT_EQ(w.p99_overflow, h99.overflow);
+    EXPECT_EQ(row.p50_micros, h50.value);
+    EXPECT_EQ(row.p95_micros, h95.value);
+    EXPECT_EQ(row.p99_micros, h99.value);
+    EXPECT_EQ(row.p99_overflow, h99.overflow);
+  }
 }
 
 TEST_F(WindowTest, ConcurrentRecordAndSnapshot) {
