@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the audit trail: one allowed query and one
-# denied query against the hospital fixture must both land in the same
-# JSONL log, pass `secview audit-verify`, and carry the right outcomes.
+# denied query against the hospital fixture, then the allowed query
+# again through a saved view (`derive --out`, `query --view`), must all
+# land in the same JSONL log, pass `secview audit-verify`, and carry the
+# right outcomes.
 #
 # Usage: scripts/audit_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -80,15 +82,22 @@ if "$SECVIEW" query --dtd "$WORK/hospital.dtd" --spec "$WORK/nurse.spec" \
   exit 1
 fi
 
+echo "== saved view: derive --out, then the same query through --view =="
+"$SECVIEW" derive --dtd "$WORK/hospital.dtd" --spec "$WORK/nurse.spec" \
+  --out "$WORK/nurse.view" > /dev/null
+"$SECVIEW" query --dtd "$WORK/hospital.dtd" --view "$WORK/nurse.view" \
+  --xml "$WORK/doc.xml" --query '//patient/name' --bind wardNo=3 \
+  --audit-log "$LOG"
+
 echo "== verifying trail =="
 "$SECVIEW" audit-verify --log "$LOG"
 
 # Compact JSON: no spaces around ':'.
-grep -q '"outcome":"ok"' "$LOG" || {
-  echo "audit_smoke: missing ok record" >&2; exit 1; }
+[[ "$(grep -c '"outcome":"ok"' "$LOG")" -eq 2 ]] || {
+  echo "audit_smoke: expected 2 ok records (--spec and --view)" >&2; exit 1; }
 grep -q '"outcome":"denied"' "$LOG" || {
   echo "audit_smoke: missing denied record" >&2; exit 1; }
-[[ "$(wc -l < "$LOG")" -eq 2 ]] || {
-  echo "audit_smoke: expected exactly 2 records" >&2; exit 1; }
+[[ "$(wc -l < "$LOG")" -eq 3 ]] || {
+  echo "audit_smoke: expected exactly 3 records" >&2; exit 1; }
 
-echo "audit_smoke: OK (2 records, both outcomes present, schema valid)"
+echo "audit_smoke: OK (3 records incl. the saved view's, schema valid)"

@@ -8,9 +8,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
-#include <optional>
-#include <span>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -49,10 +48,6 @@
 #include "workload/generator.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
-#include "optimize/optimizer.h"
-#include "rewrite/rewriter.h"
-#include "xpath/evaluator.h"
-#include "xpath/parser.h"
 #include "xpath/plan.h"
 #include "xpath/printer.h"
 #include "xpath/profiler.h"
@@ -78,13 +73,16 @@ usage:
   secview explain     --dtd FILE (--spec FILE | --view FILE) --query XPATH
                       [--no-optimize] [--height N] [--json]
   secview audit-verify --log FILE
-  secview bench-serve  --dtd FILE --spec FILE --xml FILE --queries FILE
+  secview bench-serve  --dtd FILE (--spec FILE | --view FILE) --xml FILE
+                      --queries FILE
                       [--threads N] [--repeat N] [--bind NAME=VALUE]...
                       [--no-optimize] [--metrics-prom FILE]
-                      [--deadline-ms N] [--max-nodes N] [--queue-cap N]
+                      [--deadline-ms N] [--max-nodes N] [--max-parse-depth N]
+                      [--queue-cap N]
                       [--telemetry-addr HOST:PORT] [--port-file FILE]
-                      [--slow-query-micros N] [--trace-sample N] [--profile]
-  secview serve       --dtd FILE --spec FILE --xml FILE
+                      [--slow-query-micros N] [--trace-sample N]
+                      [--trace-capacity N] [--profile]
+  secview serve       --dtd FILE (--spec FILE | --view FILE) --xml FILE
                       [--telemetry-addr HOST:PORT] [--port-file FILE]
                       [--queries FILE [--replay-delay-ms N]]
                       [--threads N] [--queue-cap N] [--slow-query-micros N]
@@ -92,7 +90,8 @@ usage:
                       [--max-seconds N] [--bind NAME=VALUE]...
                       [--no-optimize]
                       [--audit-log FILE [--audit-max-bytes N]]
-                      [--deadline-ms N] [--max-nodes N] [--profile]
+                      [--deadline-ms N] [--max-nodes N] [--max-parse-depth N]
+                      [--profile]
   secview scrape      (--addr HOST:PORT | --port N) [--path TARGET]
                       [--validate-prom] [--timeout-ms N] [--retries N]
   secview trace-export --in FILE [--chrome] [--out FILE] [--validate]
@@ -107,7 +106,10 @@ files use the paper's annotation syntax: one
 the child name for text-content annotations, `@name` for attributes.
 `derive --out` saves the derived view definition (including the hidden
 sigma annotations); `--view` loads one instead of re-deriving from a
-specification.
+specification and serves it through the same engine, budgets and audit
+log included. `query --extract` and `materialize` need `--spec`: they
+filter by the specification's annotations. A command refuses any flag
+it does not read.
 
 Observability (docs/observability.md): `query --stats` appends the
 engine's metrics summary (per-phase latencies, rewrite/optimize DP and
@@ -117,7 +119,7 @@ bind/evaluate) as JSON to FILE ('-' for stdout).
 
 `query --audit-log FILE` appends one secview.audit.v1 JSONL record per
 execution — successes and denials alike — with size-based rotation at
---audit-max-bytes (engine path only); `audit-verify` checks such a log
+--audit-max-bytes; `audit-verify` checks such a log
 line by line. `query --metrics-prom FILE` dumps the metrics in the
 Prometheus text format ('-' for stdout); `--metrics-snapshot-dir DIR`
 writes atomic metrics.prom/metrics.json snapshots into DIR. `explain`
@@ -217,69 +219,6 @@ struct Args {
   std::vector<std::pair<std::string, std::string>> bindings;
 };
 
-/// Flags that stand alone.
-constexpr std::string_view kSwitches[] = {
-    "--show-sigma", "--no-optimize", "--extract", "--stats", "--json",
-    "--validate-prom", "--chrome", "--validate", "--profile",
-};
-
-/// Flags that take the next argument as their value. Any other `--flag`
-/// is a usage error, so a misspelt or retired flag never swallows the
-/// argument after it.
-constexpr std::string_view kValuedFlags[] = {
-    "--addr", "--audit-log", "--audit-max-bytes", "--branch", "--bytes",
-    "--deadline-ms", "--dtd", "--failpoints", "--height",
-    "--in", "--k", "--log", "--max-nodes", "--max-parse-depth", "--max-seconds",
-    "--metrics-prom", "--metrics-snapshot-dir", "--out", "--path", "--port",
-    "--port-file", "--profile-json", "--queries", "--query", "--queue-cap",
-    "--repeat", "--replay-delay-ms", "--retries", "--seed",
-    "--slow-query-micros", "--spec", "--telemetry-addr", "--threads",
-    "--timeout-ms", "--trace-capacity", "--trace-json", "--trace-sample",
-    "--view", "--xml",
-};
-
-bool IsOneOf(std::string_view arg, std::span<const std::string_view> list) {
-  return std::find(list.begin(), list.end(), arg) != list.end();
-}
-
-Result<Args> ParseArgs(const std::vector<std::string>& argv) {
-  Args args;
-  if (argv.empty()) return Status::InvalidArgument("missing command");
-  args.command = argv[0];
-  for (size_t i = 1; i < argv.size(); ++i) {
-    const std::string& arg = argv[i];
-    if (IsOneOf(arg, kSwitches)) {
-      args.switches[arg] = true;
-      continue;
-    }
-    if (arg == "--bind") {
-      if (i + 1 >= argv.size()) {
-        return Status::InvalidArgument("--bind needs NAME=VALUE");
-      }
-      const std::string& pair = argv[++i];
-      size_t eq = pair.find('=');
-      if (eq == std::string::npos) {
-        return Status::InvalidArgument("--bind needs NAME=VALUE, got '" +
-                                       pair + "'");
-      }
-      args.bindings.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-      continue;
-    }
-    if (IsOneOf(arg, kValuedFlags)) {
-      if (i + 1 >= argv.size()) {
-        return Status::InvalidArgument(arg + " needs a value");
-      }
-      args.values[arg] = argv[++i];
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      return Status::InvalidArgument("unknown flag '" + arg + "'");
-    }
-    return Status::InvalidArgument("unexpected argument '" + arg + "'");
-  }
-  return args;
-}
-
 /// Parses a flag value as a non-negative integer. Flags never reach
 /// std::stoll (which throws on garbage); malformed or out-of-range
 /// values become usage errors instead.
@@ -337,11 +276,6 @@ Result<DtdBundle> LoadDtdBundle(const Args& args) {
   return bundle;
 }
 
-Result<Dtd> LoadDtd(const Args& args) {
-  SECVIEW_ASSIGN_OR_RETURN(DtdBundle bundle, LoadDtdBundle(args));
-  return std::move(bundle.normalized.dtd);
-}
-
 /// Defensive-serving limits shared by `query` and `bench-serve`
 /// (docs/robustness.md). 0 keeps a budget unlimited; --max-parse-depth 0
 /// keeps the parsers' built-in generous defaults.
@@ -377,28 +311,25 @@ Result<XmlTree> LoadXml(const Args& args, const DtdBundle& bundle,
   return normalizer.Normalize(doc);
 }
 
-Result<std::unique_ptr<SecureQueryEngine>> LoadEngine(const Args& args) {
-  SECVIEW_ASSIGN_OR_RETURN(Dtd dtd, LoadDtd(args));
+/// Builds the engine on the loaded DTD and registers the command's one
+/// policy, "policy": a saved view definition (--view) or a specification
+/// derived on load (--spec).
+Result<std::unique_ptr<SecureQueryEngine>> LoadEngine(const Args& args,
+                                                      const DtdBundle& bundle) {
   SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
-                           SecureQueryEngine::Create(std::move(dtd)));
+                           SecureQueryEngine::Create(bundle.normalized.dtd));
+  auto view_file = args.values.find("--view");
+  if (view_file != args.values.end()) {
+    SECVIEW_ASSIGN_OR_RETURN(std::string text, ReadFile(view_file->second));
+    SECVIEW_ASSIGN_OR_RETURN(SecurityView view,
+                             ParseView(engine->dtd(), text));
+    SECVIEW_RETURN_IF_ERROR(engine->RegisterPolicy("policy", std::move(view)));
+    return engine;
+  }
   SECVIEW_ASSIGN_OR_RETURN(std::string spec_path, Required(args, "--spec"));
   SECVIEW_ASSIGN_OR_RETURN(std::string spec_text, ReadFile(spec_path));
   SECVIEW_RETURN_IF_ERROR(engine->RegisterPolicy("policy", spec_text));
   return engine;
-}
-
-/// Loads the policy's security view: from a serialized definition
-/// (--view) or by deriving from a specification (--spec).
-Result<SecurityView> LoadView(const Args& args, const Dtd& dtd) {
-  auto view_file = args.values.find("--view");
-  if (view_file != args.values.end()) {
-    SECVIEW_ASSIGN_OR_RETURN(std::string text, ReadFile(view_file->second));
-    return ParseView(dtd, text);
-  }
-  SECVIEW_ASSIGN_OR_RETURN(std::string spec_path, Required(args, "--spec"));
-  SECVIEW_ASSIGN_OR_RETURN(std::string spec_text, ReadFile(spec_path));
-  SECVIEW_ASSIGN_OR_RETURN(AccessSpec spec, ParseAccessSpec(dtd, spec_text));
-  return DeriveSecurityView(spec);
 }
 
 Status CmdValidate(const Args& args, std::ostream& out) {
@@ -421,8 +352,9 @@ Status CmdValidate(const Args& args, std::ostream& out) {
 }
 
 Status CmdDerive(const Args& args, std::ostream& out) {
+  SECVIEW_ASSIGN_OR_RETURN(DtdBundle bundle, LoadDtdBundle(args));
   SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
-                           LoadEngine(args));
+                           LoadEngine(args, bundle));
   SECVIEW_ASSIGN_OR_RETURN(const SecurityView* view,
                            engine->View("policy"));
   auto out_file = args.values.find("--out");
@@ -448,269 +380,163 @@ Status CmdDerive(const Args& args, std::ostream& out) {
 }
 
 Status CmdRewrite(const Args& args, std::ostream& out) {
-  SECVIEW_ASSIGN_OR_RETURN(Dtd dtd, LoadDtd(args));
-  SECVIEW_ASSIGN_OR_RETURN(SecurityView view, LoadView(args, dtd));
+  SECVIEW_ASSIGN_OR_RETURN(DtdBundle bundle, LoadDtdBundle(args));
+  SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
+                           LoadEngine(args, bundle));
   SECVIEW_ASSIGN_OR_RETURN(std::string query_text, Required(args, "--query"));
-  if (view.IsRecursive()) {
+  SECVIEW_ASSIGN_OR_RETURN(const SecurityView* view, engine->View("policy"));
+  if (view->IsRecursive()) {
     return Status::FailedPrecondition(
         "the view is recursive; `secview rewrite` needs a concrete "
         "document height — use `secview query` instead");
   }
-  SECVIEW_ASSIGN_OR_RETURN(QueryRewriter rewriter,
-                           QueryRewriter::Create(view));
-  SECVIEW_ASSIGN_OR_RETURN(PathPtr query, ParseXPath(query_text));
-  SECVIEW_ASSIGN_OR_RETURN(PathPtr rewritten, rewriter.Rewrite(query));
-  if (!args.switches.count("--no-optimize")) {
-    rewritten = OptimizeOrPassThrough(dtd, rewritten);
-  }
+  SECVIEW_ASSIGN_OR_RETURN(
+      PathPtr rewritten,
+      engine->Rewrite("policy", query_text,
+                      /*optimize=*/!args.switches.count("--no-optimize")));
   out << ToXPathString(rewritten) << "\n";
   return Status::OK();
 }
 
-/// Writes the trace span tree to the --trace-json target ('-' = `out`).
-Status DumpTraceJson(const Args& args, const obs::Trace& trace,
-                     std::ostream& out) {
-  auto it = args.values.find("--trace-json");
+/// Writes `body()` to the target of the valued flag `flag` ('-' =
+/// `out`); does nothing, and renders nothing, when the flag is absent.
+Status WriteFlagTarget(const Args& args, const std::string& flag,
+                       const std::function<std::string()>& body,
+                       std::ostream& out) {
+  auto it = args.values.find(flag);
   if (it == args.values.end()) return Status::OK();
   if (it->second == "-") {
-    out << trace.ToJsonString(/*pretty=*/true) << "\n";
-    return Status::OK();
-  }
-  std::ofstream file(it->second, std::ios::binary);
-  if (!file) {
-    return Status::NotFound("cannot open for writing: " + it->second);
-  }
-  file << trace.ToJsonString(/*pretty=*/true) << "\n";
-  return Status::OK();
-}
-
-/// Writes the metrics in Prometheus text format to the --metrics-prom
-/// target ('-' = `out`).
-Status DumpPrometheus(const Args& args, const obs::MetricsRegistry& metrics,
-                      std::ostream& out) {
-  auto it = args.values.find("--metrics-prom");
-  if (it == args.values.end()) return Status::OK();
-  std::string text = obs::RenderPrometheusText(metrics.Collect());
-  if (it->second == "-") {
-    out << text;
+    out << body();
     return Status::OK();
   }
   std::ofstream file(it->second, std::ios::binary);
   if (!file) return Status::NotFound("cannot open for writing: " + it->second);
-  file << text;
-  return Status::OK();
-}
-
-/// Writes the secview.profile.v1 JSONL line to the --profile-json
-/// target ('-' = `out`).
-Status DumpProfileJson(const Args& args, const StepProfile& profile,
-                       const std::string& policy,
-                       const std::string& query_text, std::ostream& out) {
-  auto it = args.values.find("--profile-json");
-  if (it == args.values.end()) return Status::OK();
-  std::string body =
-      ProfileLineJson(profile, policy, query_text,
-                      obs::AuditEvent::NowUnixMicros())
-          .Dump(/*pretty=*/false);
-  body += "\n";
-  if (it->second == "-") {
-    out << body;
-    return Status::OK();
-  }
-  std::ofstream file(it->second, std::ios::binary);
-  if (!file) {
-    return Status::NotFound("cannot open for writing: " + it->second);
-  }
-  file << body;
+  file << body();
   if (!file.good()) return Status::Internal("failed writing " + it->second);
   return Status::OK();
 }
 
+/// --metrics-prom: the metrics in Prometheus text format.
+Status DumpPrometheus(const Args& args, const obs::MetricsRegistry& metrics,
+                      std::ostream& out) {
+  return WriteFlagTarget(
+      args, "--metrics-prom",
+      [&] { return obs::RenderPrometheusText(metrics.Collect()); }, out);
+}
+
 Status CmdQuery(const Args& args, std::ostream& out) {
+  if (args.values.count("--view") && args.switches.count("--extract")) {
+    return Status::InvalidArgument(
+        "--extract filters answers by the access specification; use --spec "
+        "instead of --view");
+  }
   SECVIEW_ASSIGN_OR_RETURN(ServeLimits limits, LoadServeLimits(args));
   SECVIEW_ASSIGN_OR_RETURN(DtdBundle bundle, LoadDtdBundle(args));
   SECVIEW_ASSIGN_OR_RETURN(XmlTree doc, LoadXml(args, bundle, limits.xml));
   SECVIEW_ASSIGN_OR_RETURN(std::string query_text,
                            Required(args, "--query"));
-  const bool use_view_file = args.values.count("--view") > 0;
-  const bool optimize = !args.switches.count("--no-optimize");
-  const bool want_stats = args.switches.count("--stats") > 0;
-  const bool want_profile = args.switches.count("--profile") > 0 ||
-                            args.values.count("--profile-json") > 0;
   obs::Trace trace("secview.query");
+  SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
+                           LoadEngine(args, bundle));
 
-  if (use_view_file && args.values.count("--audit-log")) {
-    return Status::InvalidArgument(
-        "--audit-log needs the audited engine path; use --spec instead of "
-        "--view");
-  }
-
-  if (!use_view_file) {
-    SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
-                             LoadEngine(args));
-
-    std::unique_ptr<obs::JsonlAuditLog> audit_log;
-    auto audit_path = args.values.find("--audit-log");
-    if (audit_path != args.values.end()) {
-      obs::JsonlAuditLog::Options audit_options;
-      SECVIEW_ASSIGN_OR_RETURN(
-          audit_options.max_bytes,
-          CountFlag(args, "--audit-max-bytes", audit_options.max_bytes));
-      SECVIEW_ASSIGN_OR_RETURN(
-          audit_log, obs::JsonlAuditLog::Open(audit_path->second,
-                                              audit_options));
-    }
-    std::unique_ptr<obs::MetricsSnapshotWriter> snapshots;
-    auto snapshot_dir = args.values.find("--metrics-snapshot-dir");
-    if (snapshot_dir != args.values.end()) {
-      snapshots = std::make_unique<obs::MetricsSnapshotWriter>(
-          &engine->metrics(), snapshot_dir->second);
-      snapshots->Start();
-    }
-
-    ExecuteOptions options;
-    options.bindings = args.bindings;
-    options.optimize = optimize;
-    options.trace = &trace;
-    options.audit = audit_log.get();
-    options.limits = limits.budget;
-    options.parse_limits = limits.xpath;
-    options.profile = want_profile;
-    Result<ExecuteResult> executed =
-        engine->Execute("policy", doc, query_text, options);
-    // The final snapshot and the audit record must land even when the
-    // query is denied — that is the point of an audit trail.
-    if (snapshots != nullptr) snapshots->Stop();
-    if (!executed.ok()) {
-      SECVIEW_RETURN_IF_ERROR(DumpPrometheus(args, engine->metrics(), out));
-      return executed.status();
-    }
-    ExecuteResult result = std::move(executed).value();
-    out << "# rewritten: " << ToXPathString(result.rewritten) << "\n";
-    out << "# evaluated: " << ToXPathString(result.evaluated, args.bindings)
-        << "\n";
-    out << "# results: " << result.nodes.size() << "\n";
-    if (args.switches.count("--extract")) {
-      SECVIEW_ASSIGN_OR_RETURN(
-          XmlTree answer,
-          engine->ExtractResults("policy", doc, result.nodes,
-                                 args.bindings));
-      XmlWriteOptions pretty;
-      pretty.indent = true;
-      WriteXml(answer, answer.root(), out, pretty);
-    } else {
-      for (NodeId n : result.nodes) {
-        out << "<" << doc.label(n) << "> node #" << n;
-        std::string text = doc.CollectText(n);
-        if (!text.empty()) out << " text=\"" << text << "\"";
-        out << "\n";
-      }
-    }
-    if (want_stats) {
-      const ExecuteStats& s = result.stats;
-      out << "# stats: cache=" << (s.cache_hit ? "hit" : "miss")
-          << " nodes_touched=" << s.nodes_touched
-          << " predicate_evals=" << s.predicate_evals
-          << " ast_rewritten=" << s.ast_size_rewritten
-          << " ast_evaluated=" << s.ast_size_evaluated << "\n";
-      out << engine->metrics().ToText();
-    }
-    if (result.profile != nullptr) {
-      if (args.switches.count("--profile")) {
-        out << StepProfileText(*result.profile);
-      }
-      SECVIEW_RETURN_IF_ERROR(
-          DumpProfileJson(args, *result.profile, "policy", query_text, out));
-    }
-    if (audit_log != nullptr) {
-      out << "# audit: " << audit_log->events() << " event(s) appended to "
-          << audit_log->path() << "\n";
-    }
-    if (snapshots != nullptr) {
-      out << "# metrics snapshot: " << snapshots->dir() << "\n";
-    }
-    SECVIEW_RETURN_IF_ERROR(DumpPrometheus(args, engine->metrics(), out));
-    return DumpTraceJson(args, trace, out);
-  }
-
-  // Saved-view path: rewrite against the loaded definition directly (no
-  // specification needed). Instrumented with a local registry so --stats
-  // and --trace-json behave the same as the engine path.
-  obs::MetricsRegistry metrics;
-  const Dtd& dtd = bundle.normalized.dtd;
-  SECVIEW_ASSIGN_OR_RETURN(SecurityView view, LoadView(args, dtd));
-  PathPtr query;
-  {
-    obs::ScopedSpan span(&trace, "parse");
-    obs::ScopedTimer timer(&metrics.GetHistogram("phase.parse.micros"));
-    SECVIEW_ASSIGN_OR_RETURN(query, ParseXPath(query_text, limits.xpath));
-  }
-  PathPtr rewritten;
-  {
-    obs::ScopedSpan span(&trace, "rewrite");
-    obs::ScopedTimer timer(&metrics.GetHistogram("phase.rewrite.micros"));
-    SECVIEW_ASSIGN_OR_RETURN(rewritten,
-                             RewriteForDocument(view, query, doc.Height()));
-    span.SetAttr("ast_size", PathSize(rewritten));
-    metrics.GetCounter("rewrite.queries").Add();
-  }
-  out << "# rewritten: " << ToXPathString(rewritten) << "\n";
-  if (optimize) {
-    obs::ScopedSpan span(&trace, "optimize");
-    obs::ScopedTimer timer(&metrics.GetHistogram("phase.optimize.micros"));
-    span.SetAttr("ast_before", PathSize(rewritten));
-    rewritten = OptimizeOrPassThrough(dtd, rewritten);
-    span.SetAttr("ast_after", PathSize(rewritten));
-    metrics.GetCounter("optimize.queries").Add();
-  }
-  std::shared_ptr<const CompiledPlan> plan;
-  {
-    obs::ScopedSpan span(&trace, "compile");
-    plan = CompilePlan(rewritten);
-  }
-  out << "# evaluated: " << ToXPathString(rewritten, args.bindings) << "\n";
-  NodeSet nodes;
-  std::unique_ptr<StepProfile> profile;
-  {
-    obs::ScopedSpan span(&trace, "evaluate");
-    obs::ScopedTimer timer(&metrics.GetHistogram("phase.evaluate.micros"));
-    XPathEvaluator evaluator(doc);
-    const EvalMetrics eval_metrics = EvalMetrics::Resolve(metrics);
-    evaluator.set_metrics(&eval_metrics);
-    std::optional<PlanProfiler> profiler;
-    if (want_profile) {
-      profiler.emplace();
-      evaluator.set_profiler(&*profiler);
-    }
+  std::unique_ptr<obs::JsonlAuditLog> audit_log;
+  auto audit_path = args.values.find("--audit-log");
+  if (audit_path != args.values.end()) {
+    obs::JsonlAuditLog::Options audit_options;
     SECVIEW_ASSIGN_OR_RETURN(
-        nodes, evaluator.EvaluateCompiled(*plan, doc.root(), args.bindings));
-    span.SetAttr("nodes_touched", evaluator.counters().nodes_touched);
-    span.SetAttr("results", static_cast<uint64_t>(nodes.size()));
-    if (want_profile) {
-      profile = profiler->TakeRoot();
-      FlushStepProfileMetrics(*profile, metrics);
+        audit_options.max_bytes,
+        CountFlag(args, "--audit-max-bytes", audit_options.max_bytes));
+    SECVIEW_ASSIGN_OR_RETURN(
+        audit_log, obs::JsonlAuditLog::Open(audit_path->second,
+                                            audit_options));
+  }
+  std::unique_ptr<obs::MetricsSnapshotWriter> snapshots;
+  auto snapshot_dir = args.values.find("--metrics-snapshot-dir");
+  if (snapshot_dir != args.values.end()) {
+    snapshots = std::make_unique<obs::MetricsSnapshotWriter>(
+        &engine->metrics(), snapshot_dir->second);
+    snapshots->Start();
+  }
+
+  ExecuteOptions options;
+  options.bindings = args.bindings;
+  options.optimize = !args.switches.count("--no-optimize");
+  options.trace = &trace;
+  options.audit = audit_log.get();
+  options.limits = limits.budget;
+  options.parse_limits = limits.xpath;
+  options.profile = args.switches.count("--profile") > 0 ||
+                    args.values.count("--profile-json") > 0;
+  Result<ExecuteResult> executed =
+      engine->Execute("policy", doc, query_text, options);
+  // The final snapshot and the audit record must land even when the
+  // query is denied — that is the point of an audit trail.
+  if (snapshots != nullptr) snapshots->Stop();
+  if (!executed.ok()) {
+    SECVIEW_RETURN_IF_ERROR(DumpPrometheus(args, engine->metrics(), out));
+    return executed.status();
+  }
+  ExecuteResult result = std::move(executed).value();
+  out << "# rewritten: " << ToXPathString(result.rewritten) << "\n";
+  out << "# evaluated: " << ToXPathString(result.evaluated, args.bindings)
+      << "\n";
+  out << "# results: " << result.nodes.size() << "\n";
+  if (args.switches.count("--extract")) {
+    SECVIEW_ASSIGN_OR_RETURN(
+        XmlTree answer,
+        engine->ExtractResults("policy", doc, result.nodes,
+                               args.bindings));
+    XmlWriteOptions pretty;
+    pretty.indent = true;
+    WriteXml(answer, answer.root(), out, pretty);
+  } else {
+    for (NodeId n : result.nodes) {
+      out << "<" << doc.label(n) << "> node #" << n;
+      std::string text = doc.CollectText(n);
+      if (!text.empty()) out << " text=\"" << text << "\"";
+      out << "\n";
     }
   }
-  out << "# results: " << nodes.size() << "\n";
-  for (NodeId n : nodes) {
-    out << "<" << doc.label(n) << "> node #" << n;
-    std::string text = doc.CollectText(n);
-    if (!text.empty()) out << " text=\"" << text << "\"";
-    out << "\n";
+  if (args.switches.count("--stats")) {
+    const ExecuteStats& s = result.stats;
+    out << "# stats: cache=" << (s.cache_hit ? "hit" : "miss")
+        << " nodes_touched=" << s.nodes_touched
+        << " predicate_evals=" << s.predicate_evals
+        << " ast_rewritten=" << s.ast_size_rewritten
+        << " ast_evaluated=" << s.ast_size_evaluated << "\n";
+    out << engine->metrics().ToText();
   }
-  if (want_stats) out << metrics.ToText();
-  if (profile != nullptr) {
-    if (args.switches.count("--profile")) out << StepProfileText(*profile);
-    SECVIEW_RETURN_IF_ERROR(
-        DumpProfileJson(args, *profile, "view", query_text, out));
+  if (result.profile != nullptr) {
+    if (args.switches.count("--profile")) {
+      out << StepProfileText(*result.profile);
+    }
+    SECVIEW_RETURN_IF_ERROR(WriteFlagTarget(
+        args, "--profile-json",
+        [&] {
+          return ProfileLineJson(*result.profile, "policy", query_text,
+                                 obs::AuditEvent::NowUnixMicros())
+                     .Dump(/*pretty=*/false) +
+                 "\n";
+        },
+        out));
   }
-  SECVIEW_RETURN_IF_ERROR(DumpPrometheus(args, metrics, out));
-  return DumpTraceJson(args, trace, out);
+  if (audit_log != nullptr) {
+    out << "# audit: " << audit_log->events() << " event(s) appended to "
+        << audit_log->path() << "\n";
+  }
+  if (snapshots != nullptr) {
+    out << "# metrics snapshot: " << snapshots->dir() << "\n";
+  }
+  SECVIEW_RETURN_IF_ERROR(DumpPrometheus(args, engine->metrics(), out));
+  return WriteFlagTarget(
+      args, "--trace-json",
+      [&] { return trace.ToJsonString(/*pretty=*/true) + "\n"; }, out);
 }
 
 Status CmdExplain(const Args& args, std::ostream& out) {
-  SECVIEW_ASSIGN_OR_RETURN(Dtd dtd, LoadDtd(args));
-  SECVIEW_ASSIGN_OR_RETURN(SecurityView view, LoadView(args, dtd));
+  SECVIEW_ASSIGN_OR_RETURN(DtdBundle bundle, LoadDtdBundle(args));
+  SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
+                           LoadEngine(args, bundle));
   SECVIEW_ASSIGN_OR_RETURN(std::string query_text, Required(args, "--query"));
   ExplainOptions options;
   options.optimize = !args.switches.count("--no-optimize");
@@ -721,8 +547,7 @@ Status CmdExplain(const Args& args, std::ostream& out) {
     options.doc_height = static_cast<int>(h);
   }
   SECVIEW_ASSIGN_OR_RETURN(QueryExplain explain,
-                           ExplainQuery(dtd, view, query_text, options));
-  explain.policy = "policy";
+                           engine->Explain("policy", query_text, options));
   if (args.switches.count("--json")) {
     out << explain.ToJson().Dump(/*pretty=*/true) << "\n";
   } else {
@@ -985,7 +810,7 @@ Status CmdServe(const Args& args, std::ostream& out) {
   obs::ScopedLedgerCharge doc_charge(
       "xml.doc", static_cast<int64_t>(doc.MemoryFootprintBytes()));
   SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
-                           LoadEngine(args));
+                           LoadEngine(args, bundle));
   ScopedFailpointMetrics failpoint_metrics(&engine->metrics());
 
   std::vector<std::string> queries;
@@ -1137,7 +962,7 @@ Status CmdBenchServe(const Args& args, std::ostream& out) {
   SECVIEW_ASSIGN_OR_RETURN(std::vector<std::string> queries,
                            LoadQueriesFile(queries_path));
   SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
-                           LoadEngine(args));
+                           LoadEngine(args, bundle));
   ScopedFailpointMetrics failpoint_metrics(&engine->metrics());
   obs::ScopedLedgerCharge doc_charge(
       "xml.doc", static_cast<int64_t>(doc.MemoryFootprintBytes()));
@@ -1337,7 +1162,7 @@ Status CmdMaterialize(const Args& args, std::ostream& out) {
 }
 
 Status CmdGenerate(const Args& args, std::ostream& out) {
-  SECVIEW_ASSIGN_OR_RETURN(Dtd dtd, LoadDtd(args));
+  SECVIEW_ASSIGN_OR_RETURN(DtdBundle bundle, LoadDtdBundle(args));
   GeneratorOptions options;
   SECVIEW_ASSIGN_OR_RETURN(uint64_t bytes, CountFlag(args, "--bytes", 0));
   SECVIEW_ASSIGN_OR_RETURN(uint64_t seed, CountFlag(args, "--seed", 42));
@@ -1346,7 +1171,8 @@ Status CmdGenerate(const Args& args, std::ostream& out) {
   options.seed = seed;
   options.max_branching = static_cast<int>(branch);
   options.min_branching = options.max_branching > 0 ? 1 : 0;
-  SECVIEW_ASSIGN_OR_RETURN(XmlTree doc, GenerateDocument(dtd, options));
+  SECVIEW_ASSIGN_OR_RETURN(XmlTree doc,
+                           GenerateDocument(bundle.normalized.dtd, options));
   WriteXml(doc, doc.root(), out);
   out << "\n";
   return Status::OK();
@@ -1375,11 +1201,153 @@ Status ArmFailpoints(const Args& args) {
   return Status::OK();
 }
 
+Status CmdHelp(const Args&, std::ostream& out) {
+  out << kUsage;
+  return Status::OK();
+}
+
+/// One subcommand and the flags it reads: `valued` flags take the next
+/// argument (`--bind` a NAME=VALUE pair), `switches` stand alone.
+/// `--failpoints` is read by every command (ArmFailpoints). Any other
+/// flag is a usage error, so a flag a command would ignore never looks
+/// accepted and a misspelt one never swallows the argument after it.
+struct Command {
+  std::string_view name;
+  Status (*run)(const Args& args, std::ostream& out);
+  std::vector<std::string_view> valued;
+  std::vector<std::string_view> switches;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"help", CmdHelp, {}, {}},
+      {"--help", CmdHelp, {}, {}},
+      {"validate", CmdValidate, {"--dtd", "--xml"}, {}},
+      {"derive", CmdDerive, {"--dtd", "--spec", "--out"}, {"--show-sigma"}},
+      {"rewrite",
+       CmdRewrite,
+       {"--dtd", "--spec", "--view", "--query"},
+       {"--no-optimize"}},
+      {"query",
+       CmdQuery,
+       {"--dtd", "--spec", "--view", "--xml", "--query", "--bind",
+        "--trace-json", "--profile-json", "--audit-log", "--audit-max-bytes",
+        "--metrics-prom", "--metrics-snapshot-dir", "--deadline-ms",
+        "--max-nodes", "--max-parse-depth"},
+       {"--no-optimize", "--extract", "--stats", "--profile"}},
+      {"explain",
+       CmdExplain,
+       {"--dtd", "--spec", "--view", "--query", "--height"},
+       {"--no-optimize", "--json"}},
+      {"audit-verify", CmdAuditVerify, {"--log"}, {}},
+      {"bench-serve",
+       CmdBenchServe,
+       {"--dtd", "--spec", "--view", "--xml", "--queries", "--threads",
+        "--repeat", "--bind", "--metrics-prom", "--deadline-ms", "--max-nodes",
+        "--max-parse-depth", "--queue-cap", "--telemetry-addr", "--port-file",
+        "--slow-query-micros", "--trace-sample", "--trace-capacity"},
+       {"--no-optimize", "--profile"}},
+      {"serve",
+       CmdServe,
+       {"--dtd", "--spec", "--view", "--xml", "--telemetry-addr",
+        "--port-file", "--queries", "--replay-delay-ms", "--threads",
+        "--queue-cap", "--slow-query-micros", "--trace-sample",
+        "--trace-capacity", "--max-seconds", "--bind", "--audit-log",
+        "--audit-max-bytes", "--deadline-ms", "--max-nodes",
+        "--max-parse-depth"},
+       {"--no-optimize", "--profile"}},
+      {"scrape",
+       CmdScrape,
+       {"--addr", "--port", "--path", "--timeout-ms", "--retries"},
+       {"--validate-prom"}},
+      {"trace-export",
+       CmdTraceExport,
+       {"--in", "--out"},
+       {"--chrome", "--validate"}},
+      {"profile-top", CmdProfileTop, {"--in", "--k"}, {}},
+      {"materialize",
+       CmdMaterialize,
+       {"--dtd", "--spec", "--xml", "--bind"},
+       {}},
+      {"generate",
+       CmdGenerate,
+       {"--dtd", "--bytes", "--seed", "--branch"},
+       {}},
+  };
+  return commands;
+}
+
+bool IsOneOf(std::string_view arg, const std::vector<std::string_view>& list) {
+  return std::find(list.begin(), list.end(), arg) != list.end();
+}
+
+/// True iff some command reads `flag`: such a flag given to a command
+/// that does not is refused by name, not as unknown.
+bool AnyCommandReads(std::string_view flag) {
+  for (const Command& command : Commands()) {
+    if (IsOneOf(flag, command.valued) || IsOneOf(flag, command.switches)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+Result<Args> ParseArgs(const std::vector<std::string>& argv,
+                       const Command** command_out) {
+  if (argv.empty()) return Status::InvalidArgument("missing command");
+  Args args;
+  args.command = argv[0];
+  const Command* command = nullptr;
+  for (const Command& c : Commands()) {
+    if (c.name == args.command) command = &c;
+  }
+  if (command == nullptr) {
+    return Status::InvalidArgument("unknown command '" + args.command + "'");
+  }
+  *command_out = command;
+  for (size_t i = 1; i < argv.size(); ++i) {
+    const std::string& arg = argv[i];
+    if (IsOneOf(arg, command->switches)) {
+      args.switches[arg] = true;
+      continue;
+    }
+    if (arg == "--failpoints" || IsOneOf(arg, command->valued)) {
+      if (i + 1 >= argv.size()) {
+        return Status::InvalidArgument(arg == "--bind"
+                                           ? "--bind needs NAME=VALUE"
+                                           : arg + " needs a value");
+      }
+      const std::string& value = argv[++i];
+      if (arg != "--bind") {
+        args.values[arg] = value;
+        continue;
+      }
+      size_t eq = value.find('=');
+      if (eq == std::string::npos) {
+        return Status::InvalidArgument("--bind needs NAME=VALUE, got '" +
+                                       value + "'");
+      }
+      args.bindings.emplace_back(value.substr(0, eq), value.substr(eq + 1));
+      continue;
+    }
+    if (AnyCommandReads(arg)) {
+      return Status::InvalidArgument("`secview " + args.command +
+                                     "` does not take " + arg);
+    }
+    if (arg.rfind("--", 0) == 0) {
+      return Status::InvalidArgument("unknown flag '" + arg + "'");
+    }
+    return Status::InvalidArgument("unexpected argument '" + arg + "'");
+  }
+  return args;
+}
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {
-  Result<Args> parsed = ParseArgs(args);
+  const Command* command = nullptr;
+  Result<Args> parsed = ParseArgs(args, &command);
   if (!parsed.ok()) {
     err << "error: " << parsed.status().message() << "\n" << kUsage;
     return 2;
@@ -1402,40 +1370,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
       if (active) FailPointRegistry::Instance().DisarmAll();
     }
   } disarm_guard{disarm_on_exit};
-  Status status = Status::OK();
-  if (parsed->command == "help" || parsed->command == "--help") {
-    out << kUsage;
-    return 0;
-  } else if (parsed->command == "validate") {
-    status = CmdValidate(*parsed, out);
-  } else if (parsed->command == "derive") {
-    status = CmdDerive(*parsed, out);
-  } else if (parsed->command == "rewrite") {
-    status = CmdRewrite(*parsed, out);
-  } else if (parsed->command == "query") {
-    status = CmdQuery(*parsed, out);
-  } else if (parsed->command == "explain") {
-    status = CmdExplain(*parsed, out);
-  } else if (parsed->command == "audit-verify") {
-    status = CmdAuditVerify(*parsed, out);
-  } else if (parsed->command == "bench-serve") {
-    status = CmdBenchServe(*parsed, out);
-  } else if (parsed->command == "serve") {
-    status = CmdServe(*parsed, out);
-  } else if (parsed->command == "scrape") {
-    status = CmdScrape(*parsed, out);
-  } else if (parsed->command == "trace-export") {
-    status = CmdTraceExport(*parsed, out);
-  } else if (parsed->command == "profile-top") {
-    status = CmdProfileTop(*parsed, out);
-  } else if (parsed->command == "materialize") {
-    status = CmdMaterialize(*parsed, out);
-  } else if (parsed->command == "generate") {
-    status = CmdGenerate(*parsed, out);
-  } else {
-    err << "error: unknown command '" << parsed->command << "'\n" << kUsage;
-    return 2;
-  }
+  Status status = command->run(*parsed, out);
   if (!status.ok()) {
     err << "error: " << status.ToString() << "\n";
     // Distinct exit codes let serving wrappers tell resource pressure

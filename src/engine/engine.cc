@@ -151,6 +151,20 @@ Status SecureQueryEngine::RegisterPolicy(const std::string& name,
 
 Status SecureQueryEngine::RegisterPolicy(const std::string& name,
                                          AccessSpec spec) {
+  Result<SecurityView> derived = [&]() -> Result<SecurityView> {
+    obs::ScopedTimer timer(&metrics_.GetHistogram("phase.derive.micros"));
+    return DeriveSecurityView(spec);
+  }();
+  SECVIEW_ASSIGN_OR_RETURN(SecurityView view, std::move(derived));
+  // The derived view is built on spec.dtd(), so RegisterPolicy(view)
+  // also refuses a specification of another DTD instance.
+  SECVIEW_RETURN_IF_ERROR(RegisterPolicy(name, std::move(view)));
+  policies_.at(name)->spec.emplace(std::move(spec));
+  return Status::OK();
+}
+
+Status SecureQueryEngine::RegisterPolicy(const std::string& name,
+                                         SecurityView view) {
   if (sealed()) {
     return Status::FailedPrecondition(
         "the engine is sealed (serve phase); register every policy "
@@ -163,21 +177,14 @@ Status SecureQueryEngine::RegisterPolicy(const std::string& name,
     return Status::InvalidArgument("policy '" + name +
                                    "' is already registered");
   }
-  if (&spec.dtd() != dtd_.get()) {
+  if (&view.doc_dtd() != dtd_.get()) {
     return Status::InvalidArgument(
-        "specification was built against a different DTD instance");
+        "the policy was built against a different DTD instance");
   }
-  Result<SecurityView> derived = [&]() -> Result<SecurityView> {
-    obs::ScopedTimer timer(&metrics_.GetHistogram("phase.derive.micros"));
-    return DeriveSecurityView(spec);
-  }();
-  SECVIEW_ASSIGN_OR_RETURN(SecurityView view, std::move(derived));
-
   ShardedRewriteCache::Options cache_options;
   cache_options.shards = options_.cache_shards;
   cache_options.capacity = options_.cache_capacity;
-  auto policy = std::make_unique<Policy>(std::move(spec), std::move(view),
-                                         cache_options);
+  auto policy = std::make_unique<Policy>(std::move(view), cache_options);
   if (!policy->view.IsRecursive()) {
     SECVIEW_ASSIGN_OR_RETURN(QueryRewriter rewriter,
                              QueryRewriter::Create(policy->view));
@@ -546,9 +553,8 @@ void SecureQueryEngine::AttachHealth(obs::HealthTracker* health) {
 void SecureQueryEngine::RecordServingOutcome(const std::string& policy,
                                              std::string_view query_text,
                                              const Status& status,
-                                             uint64_t latency_micros,
                                              obs::AuditSink* audit) {
-  Publish(policy, query_text, status, latency_micros, /*result=*/nullptr,
+  Publish(policy, query_text, status, /*latency_micros=*/0, /*result=*/nullptr,
           /*bindings=*/{}, audit, /*request_trace=*/nullptr);
 }
 
@@ -560,10 +566,15 @@ void SecureQueryEngine::Publish(
   const obs::ServeOutcome outcome = obs::ServeOutcomeForStatus(status);
   static const ExecuteStats kNoStats;
   const ExecuteStats& s = result != nullptr ? result->stats : kNoStats;
+  // A query that never executed counts its outcome but has no latency to
+  // add to the percentiles.
+  const std::optional<uint64_t> latency_sample =
+      result != nullptr ? std::optional<uint64_t>(latency_micros)
+                        : std::nullopt;
   if (health_ != nullptr) health_->RecordOutcome(status.ok());
-  if (window_stats_ != nullptr) window_stats_->Record(latency_micros, outcome);
+  if (window_stats_ != nullptr) window_stats_->Record(latency_sample, outcome);
   if (policy_stats_ != nullptr) {
-    policy_stats_->Record(policy, outcome, latency_micros, s.nodes_touched,
+    policy_stats_->Record(policy, outcome, latency_sample, s.nodes_touched,
                           s.alloc_bytes);
   }
   if (slow_log_ != nullptr && latency_micros >= slow_log_->threshold_micros()) {
@@ -701,13 +712,11 @@ Result<QueryExplain> SecureQueryEngine::Explain(
   // and EXPLAIN describes exactly the objects Execute runs with. Safe
   // while serving — both are const, and the sharded cache is never
   // touched (the trail must re-run the DP with collect_explain anyway).
-  PreparedExplainInputs prepared;
-  prepared.rewriter =
-      policy->rewriter.has_value() ? &*policy->rewriter : nullptr;
-  prepared.optimizer = optimizer_.has_value() ? &*optimizer_ : nullptr;
   SECVIEW_ASSIGN_OR_RETURN(
       QueryExplain explain,
-      ExplainQuery(*dtd_, policy->view, query_text, options, prepared));
+      ExplainQuery(policy->view, query_text, options,
+                   policy->rewriter.has_value() ? &*policy->rewriter : nullptr,
+                   optimizer_.has_value() ? &*optimizer_ : nullptr));
   explain.policy = policy_name;
   return explain;
 }
@@ -733,10 +742,16 @@ Result<XmlTree> SecureQueryEngine::ExtractResults(
     const std::string& policy, const XmlTree& doc, const NodeSet& nodes,
     const std::vector<std::pair<std::string, std::string>>& bindings) const {
   SECVIEW_ASSIGN_OR_RETURN(const Policy* p, FindPolicy(policy));
+  if (!p->spec.has_value()) {
+    return Status::FailedPrecondition(
+        "policy '" + policy +
+        "' was registered from a saved view; extracting answers needs its "
+        "access specification");
+  }
   MaterializeOptions options;
   options.bindings = bindings;
   SECVIEW_ASSIGN_OR_RETURN(XmlTree tv,
-                           MaterializeView(doc, p->view, p->spec, options));
+                           MaterializeView(doc, p->view, *p->spec, options));
 
   // Map each requested document node to its view node(s).
   std::unordered_map<NodeId, std::vector<NodeId>> by_origin;

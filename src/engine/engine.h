@@ -285,9 +285,10 @@ class SecureQueryEngine {
   /// Publishes a query that bypassed Execute (shed, expired or
   /// cancelled at a worker pool's queue) exactly as Execute publishes
   /// its queries, `audit` included, so /statusz matches the audit trail.
+  /// It counts in the outcome mix but adds no latency sample.
   void RecordServingOutcome(const std::string& policy,
                             std::string_view query_text, const Status& status,
-                            uint64_t latency_micros, obs::AuditSink* audit);
+                            obs::AuditSink* audit);
 
   // -- Policies -------------------------------------------------------------
 
@@ -297,8 +298,16 @@ class SecureQueryEngine {
   /// concurrently with any other engine call.
   Status RegisterPolicy(const std::string& name, std::string_view spec_text);
 
-  /// Registers an already-built specification.
+  /// Registers an already-built specification: derives its view (timed
+  /// as phase.derive.micros), then registers that view.
   Status RegisterPolicy(const std::string& name, AccessSpec spec);
+
+  /// Registers an already-derived security view, e.g. one loaded with
+  /// ParseView (security/view_io.h). Fails on an empty or duplicate
+  /// name, a view built on another Dtd instance than dtd(), or after
+  /// Seal(). Such a policy serves Rewrite, Execute and Explain like any
+  /// other; ExtractResults refuses it (it needs the specification).
+  Status RegisterPolicy(const std::string& name, SecurityView view);
 
   /// Ends the setup phase: subsequent RegisterPolicy calls fail with
   /// FailedPrecondition. Idempotent. Sealing is what makes concurrent
@@ -364,6 +373,8 @@ class SecureQueryEngine {
   /// document — returning raw document subtrees would leak hidden nodes
   /// nested below accessible ones. This is a convenience for serving
   /// serialized answers; it costs one view materialization per call.
+  /// FailedPrecondition for a policy registered from a view: its
+  /// accessibility filter needs the access specification.
   Result<XmlTree> ExtractResults(
       const std::string& policy, const XmlTree& doc, const NodeSet& nodes,
       const std::vector<std::pair<std::string, std::string>>& bindings =
@@ -371,7 +382,8 @@ class SecureQueryEngine {
 
  private:
   struct Policy {
-    AccessSpec spec;
+    /// Absent for a policy registered from a saved view.
+    std::optional<AccessSpec> spec;
     SecurityView view;
     /// Prepared rewriter for non-recursive views. Rewrite() is const
     /// and stateless per call, so many threads may share it.
@@ -389,9 +401,8 @@ class SecureQueryEngine {
     obs::Counter* queries_counter = nullptr;
     obs::Gauge* cache_size_gauge = nullptr;
 
-    Policy(AccessSpec s, SecurityView v,
-           const ShardedRewriteCache::Options& cache_options)
-        : spec(std::move(s)), view(std::move(v)), cache(cache_options) {}
+    Policy(SecurityView v, const ShardedRewriteCache::Options& cache_options)
+        : view(std::move(v)), cache(cache_options) {}
   };
 
   /// Engine-wide instruments resolved once at construction so the serve
@@ -502,7 +513,8 @@ class SecureQueryEngine {
   /// `status` to its outcome once and feeds every attached observer,
   /// the trace store (given `request_trace`), `audit`, and the error
   /// and audit counters. `result` is null for a query never executed:
-  /// it then counts in neither execute_errors nor rejected.budget.
+  /// it then counts in neither execute_errors nor rejected.budget, and
+  /// adds no latency sample to the window or the policy rollup.
   void Publish(const std::string& policy, std::string_view query_text,
                const Status& status, uint64_t latency_micros,
                const ExecuteResult* result,

@@ -181,18 +181,11 @@ obs::Json QueryExplain::ToJson() const {
   return j;
 }
 
-namespace {
-
-/// Shared body of the two ExplainQuery overloads. `prepared_rewriter`
-/// and `prepared_optimizer` are reused when given; when
-/// `optimizer_known` is true their availability is taken as-is instead
-/// of probing QueryOptimizer::Create (the engine already knows).
-Result<QueryExplain> ExplainQueryImpl(const Dtd& dtd, const SecurityView& view,
-                                      std::string_view query_text,
-                                      const ExplainOptions& options,
-                                      const QueryRewriter* prepared_rewriter,
-                                      const QueryOptimizer* prepared_optimizer,
-                                      bool optimizer_known) {
+Result<QueryExplain> ExplainQuery(const SecurityView& view,
+                                  std::string_view query_text,
+                                  const ExplainOptions& options,
+                                  const QueryRewriter* rewriter,
+                                  const QueryOptimizer* optimizer) {
   QueryExplain out;
   out.query = std::string(query_text);
   out.optimize_requested = options.optimize;
@@ -218,31 +211,20 @@ Result<QueryExplain> ExplainQueryImpl(const Dtd& dtd, const SecurityView& view,
 
   out.rewrite.collect_explain = true;
   PathPtr rewritten;
-  // A prepared rewriter only applies to non-recursive views (recursive
-  // ones are rewritten over the per-depth unfolded view built above).
-  if (!out.view_recursive && prepared_rewriter != nullptr) {
-    SECVIEW_ASSIGN_OR_RETURN(rewritten,
-                             prepared_rewriter->Rewrite(query, &out.rewrite));
+  // Recursive views have no prepared rewriter: they are rewritten over
+  // the per-depth unfolded view built above.
+  if (rewriter != nullptr) {
+    SECVIEW_ASSIGN_OR_RETURN(rewritten, rewriter->Rewrite(query, &out.rewrite));
   } else {
-    SECVIEW_ASSIGN_OR_RETURN(QueryRewriter rewriter,
+    SECVIEW_ASSIGN_OR_RETURN(QueryRewriter unfolded_rewriter,
                              QueryRewriter::Create(*effective));
-    SECVIEW_ASSIGN_OR_RETURN(rewritten, rewriter.Rewrite(query, &out.rewrite));
+    SECVIEW_ASSIGN_OR_RETURN(rewritten,
+                             unfolded_rewriter.Rewrite(query, &out.rewrite));
   }
   out.rewritten_xpath = ToXPathString(rewritten);
   out.final_xpath = out.rewritten_xpath;
 
-  std::optional<QueryOptimizer> local_optimizer;
-  const QueryOptimizer* optimizer = prepared_optimizer;
-  if (optimizer_known) {
-    out.optimizer_available = optimizer != nullptr;
-  } else {
-    Result<QueryOptimizer> created = QueryOptimizer::Create(dtd);
-    out.optimizer_available = created.ok();
-    if (created.ok()) {
-      local_optimizer.emplace(std::move(created).value());
-      optimizer = &*local_optimizer;
-    }
-  }
+  out.optimizer_available = optimizer != nullptr;
   if (out.optimize_ran()) {
     out.optimize.collect_explain = true;
     SECVIEW_ASSIGN_OR_RETURN(PathPtr optimized,
@@ -250,25 +232,6 @@ Result<QueryExplain> ExplainQueryImpl(const Dtd& dtd, const SecurityView& view,
     out.final_xpath = ToXPathString(optimized);
   }
   return out;
-}
-
-}  // namespace
-
-Result<QueryExplain> ExplainQuery(const Dtd& dtd, const SecurityView& view,
-                                  std::string_view query_text,
-                                  const ExplainOptions& options) {
-  return ExplainQueryImpl(dtd, view, query_text, options,
-                          /*prepared_rewriter=*/nullptr,
-                          /*prepared_optimizer=*/nullptr,
-                          /*optimizer_known=*/false);
-}
-
-Result<QueryExplain> ExplainQuery(const Dtd& dtd, const SecurityView& view,
-                                  std::string_view query_text,
-                                  const ExplainOptions& options,
-                                  const PreparedExplainInputs& prepared) {
-  return ExplainQueryImpl(dtd, view, query_text, options, prepared.rewriter,
-                          prepared.optimizer, /*optimizer_known=*/true);
 }
 
 }  // namespace secview

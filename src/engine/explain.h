@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "dtd/dtd.h"
 #include "obs/json.h"
 #include "optimize/optimizer.h"
 #include "rewrite/rewriter.h"
@@ -39,7 +38,7 @@ struct ExplainOptions {
 /// so the same engine state explains the same query byte-identically
 /// (explain_test.cc relies on this).
 struct QueryExplain {
-  /// Policy name; empty when produced by the free ExplainQuery.
+  /// Policy name, set by SecureQueryEngine::Explain.
   std::string policy;
   std::string query;
 
@@ -74,39 +73,21 @@ struct QueryExplain {
   obs::Json ToJson() const;
 };
 
-/// Explains how `query_text` would be enforced against `view` (derived
-/// from `dtd`): parses, unfolds recursive views, rewrites with the trail
-/// enabled, and optionally optimizes. Nothing is evaluated and no engine
-/// cache is touched.
-Result<QueryExplain> ExplainQuery(const Dtd& dtd, const SecurityView& view,
-                                  std::string_view query_text,
-                                  const ExplainOptions& options = {});
-
-/// Already-prepared query machinery the engine's Prepare path holds, so
-/// an EXPLAIN run while serving reuses the very objects the executing
-/// threads use — no per-explain QueryRewriter/QueryOptimizer rebuild
-/// (rebuilding the optimizer re-derives the whole DTD graph), and no
-/// divergence between what EXPLAIN reports and what Execute runs. Both
-/// objects are const and stateless per call, so explaining concurrently
-/// with serving is safe and never touches (or bypasses the locking of)
-/// the sharded rewrite cache.
-struct PreparedExplainInputs {
-  /// The policy's prepared rewriter; null for recursive views (those
-  /// are rewritten over a per-depth unfolded view, rebuilt per call).
-  const QueryRewriter* rewriter = nullptr;
-  /// The engine's prepared optimizer; null when the document DTD is
-  /// recursive. Its presence *defines* optimizer availability here —
-  /// this overload never constructs one.
-  const QueryOptimizer* optimizer = nullptr;
-};
-
-/// The engine path: identical output to the overload above (explain
-/// determinism is a contract; explain_test.cc compares the two), but
-/// reusing `prepared` instead of rebuilding.
-Result<QueryExplain> ExplainQuery(const Dtd& dtd, const SecurityView& view,
+/// Explains how `query_text` would be enforced against `view`: parses,
+/// unfolds recursive views, rewrites with the trail enabled, and
+/// optionally optimizes. Nothing is evaluated and no engine cache is
+/// touched. SecureQueryEngine::Explain is the caller: it passes the very
+/// objects its Prepare path runs with, so EXPLAIN describes what Execute
+/// does. `rewriter` is the policy's prepared rewriter, null for
+/// recursive views (those are rewritten over a per-depth unfolding built
+/// here). `optimizer` is the engine's, null when the document DTD is
+/// recursive; its presence defines optimizer availability. Both are
+/// const and stateless per call, so explaining while serving is safe.
+Result<QueryExplain> ExplainQuery(const SecurityView& view,
                                   std::string_view query_text,
                                   const ExplainOptions& options,
-                                  const PreparedExplainInputs& prepared);
+                                  const QueryRewriter* rewriter,
+                                  const QueryOptimizer* optimizer);
 
 }  // namespace secview
 

@@ -101,7 +101,7 @@ std::vector<Result<ExecuteResult>> QueryWorkerPool::ExecuteBatch(
     Result<ExecuteResult> result = [&]() -> Result<ExecuteResult> {
       if (opts.cancel.cancelled()) {
         Status st = Status::Cancelled("query cancelled while queued");
-        engine_.RecordServingOutcome(policy, queries[i], st, 0, opts.audit);
+        engine_.RecordServingOutcome(policy, queries[i], st, opts.audit);
         return st;
       }
       if (deadline_ms > 0) {
@@ -110,7 +110,7 @@ std::vector<Result<ExecuteResult>> QueryWorkerPool::ExecuteBatch(
           Status st = Status::DeadlineExceeded(
               "deadline of " + std::to_string(deadline_ms) +
               " ms expired while the query was queued");
-          engine_.RecordServingOutcome(policy, queries[i], st, 0, opts.audit);
+          engine_.RecordServingOutcome(policy, queries[i], st, opts.audit);
           return st;
         }
         auto remaining_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -164,8 +164,7 @@ std::vector<Result<ExecuteResult>> QueryWorkerPool::ExecuteBatch(
                           "query shed: the pool's submission queue is full "
                           "(cap " +
                           std::to_string(options_.queue_cap) + ")");
-    engine_.RecordServingOutcome(policy, queries[i], st, 0,
-                                 task_options.audit);
+    engine_.RecordServingOutcome(policy, queries[i], st, task_options.audit);
     std::lock_guard<std::mutex> slot_lock(state->mu);
     state->results[i] = std::move(st);
     if (--state->remaining == 0) state->done_cv.notify_all();

@@ -58,7 +58,8 @@ namespace secview {
 /// A task the pool sheds, expires or cancels never reaches Execute. The
 /// pool hands it to SecureQueryEngine::RecordServingOutcome with the
 /// batch's audit sink, which publishes it like an executed query: the
-/// observers, the error counters, one audit event and audit.events.
+/// observers, the error counters, one audit event and audit.events. It
+/// counts in the outcome mix but adds no latency sample.
 class QueryWorkerPool {
  public:
   struct Options {

@@ -20,8 +20,8 @@ size_t PolicyStatsTable::StripeFor(std::string_view policy) const {
 }
 
 void PolicyStatsTable::Record(std::string_view policy, ServeOutcome outcome,
-                              uint64_t latency_micros, uint64_t nodes_touched,
-                              uint64_t alloc_bytes) {
+                              std::optional<uint64_t> latency_micros,
+                              uint64_t nodes_touched, uint64_t alloc_bytes) {
   Stripe& stripe = stripes_[StripeFor(policy)];
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.entries.find(policy);
@@ -34,7 +34,7 @@ void PolicyStatsTable::Record(std::string_view policy, ServeOutcome outcome,
   entry.tally.Record(latency_micros, outcome);
   entry.nodes_touched += nodes_touched;
   entry.alloc_bytes += alloc_bytes;
-  entry.latency_sum_micros += latency_micros;
+  entry.latency_sum_micros += latency_micros.value_or(0);
 }
 
 std::vector<PolicyStatsTable::PolicySnapshot> PolicyStatsTable::Snapshot()

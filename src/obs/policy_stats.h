@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,10 +41,10 @@ class PolicyStatsTable {
   PolicyStatsTable& operator=(const PolicyStatsTable&) = delete;
 
   /// Accounts one finished query under `policy`. `nodes_touched` and
-  /// `alloc_bytes` may be zero when unknown (e.g. a query shed before
-  /// execution).
+  /// `alloc_bytes` may be zero and `latency_micros` absent when unknown
+  /// (e.g. a query shed before execution adds no latency sample).
   void Record(std::string_view policy, ServeOutcome outcome,
-              uint64_t latency_micros, uint64_t nodes_touched,
+              std::optional<uint64_t> latency_micros, uint64_t nodes_touched,
               uint64_t alloc_bytes);
 
   struct PolicySnapshot : OutcomeSummary {

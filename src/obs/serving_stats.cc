@@ -25,9 +25,12 @@ const char* ServeOutcomeName(ServeOutcome outcome) {
   return "unknown";
 }
 
-void LatencyTally::Record(uint64_t latency_micros, ServeOutcome outcome) {
+void LatencyTally::Record(std::optional<uint64_t> latency_micros,
+                          ServeOutcome outcome) {
   ++outcomes_[static_cast<size_t>(outcome)];
-  ++latency_[bounds_->BucketOf(latency_micros)];
+  if (latency_micros.has_value()) {
+    ++latency_[bounds_->BucketOf(*latency_micros)];
+  }
 }
 
 void LatencyTally::Add(const LatencyTally& other) {
@@ -88,7 +91,8 @@ int64_t SlidingWindowStats::NowSecond() const {
   return static_cast<int64_t>(now_micros_() / 1'000'000);
 }
 
-void SlidingWindowStats::Record(uint64_t latency_micros, ServeOutcome outcome) {
+void SlidingWindowStats::Record(std::optional<uint64_t> latency_micros,
+                                ServeOutcome outcome) {
   int64_t second = NowSecond();
   Bucket& bucket = buckets_[static_cast<size_t>(second) % buckets_n_];
   {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -51,7 +52,9 @@ class LatencyTally {
   explicit LatencyTally(const BucketBounds* bounds)
       : bounds_(bounds), latency_(bounds->buckets(), 0) {}
 
-  void Record(uint64_t latency_micros, ServeOutcome outcome);
+  /// Counts one query; a query without a latency (never executed) adds
+  /// no sample to the percentiles.
+  void Record(std::optional<uint64_t> latency_micros, ServeOutcome outcome);
   /// Adds `other`, which must share this tally's bounds.
   void Add(const LatencyTally& other);
   void Clear();
@@ -95,8 +98,9 @@ class SlidingWindowStats {
   SlidingWindowStats();
   explicit SlidingWindowStats(Options options);
 
-  /// Accounts one finished query in the current second's bucket.
-  void Record(uint64_t latency_micros, ServeOutcome outcome);
+  /// Accounts one finished query in the current second's bucket (see
+  /// LatencyTally::Record).
+  void Record(std::optional<uint64_t> latency_micros, ServeOutcome outcome);
 
   /// Aggregates over a trailing window.
   struct Window : OutcomeSummary {

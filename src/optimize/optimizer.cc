@@ -271,11 +271,4 @@ Result<bool> IsContainedIn(const DtdGraph& graph, const PathPtr& p1,
   return Simulates(g1, g2);
 }
 
-PathPtr OptimizeOrPassThrough(const Dtd& dtd, const PathPtr& p) {
-  Result<QueryOptimizer> optimizer = QueryOptimizer::Create(dtd);
-  if (!optimizer.ok()) return p;
-  Result<PathPtr> optimized = optimizer->Optimize(p);
-  return optimized.ok() ? std::move(optimized).value() : p;
-}
-
 }  // namespace secview

@@ -87,10 +87,6 @@ class QueryOptimizer {
   DtdPathIndex index_;
 };
 
-/// Convenience used by benchmarks and examples: optimizes when the DTD is
-/// non-recursive, otherwise returns `p` unchanged (with no error).
-PathPtr OptimizeOrPassThrough(const Dtd& dtd, const PathPtr& p);
-
 /// The paper's approximate containment test as a public utility: true
 /// means p1's result is a subset of p2's on *every* instance of the DTD
 /// at A elements (Proposition 5.1); false means "not proven" — the test

@@ -558,16 +558,114 @@ TEST_F(CliTest, AuditVerifyRejectsCorruptLogs) {
   EXPECT_NE(err_.str().find(":1:"), std::string::npos) << err_.str();
 }
 
-TEST_F(CliTest, AuditLogRequiresEnginePath) {
+// A saved view (--view) serves through the same engine as --spec:
+// budgeted, audited, and with the same metrics outputs.
+
+TEST_F(CliTest, QueryWithSavedViewAppendsAuditLine) {
   ASSERT_EQ(Run({"derive", "--dtd", Path("hospital.dtd"), "--spec",
-                 Path("nurse.spec"), "--out", Path("nurse.view")}),
+                 Path("nurse.spec"), "--out", Path("audit_nurse.view")}),
+            0);
+  std::string log = Path("view_audit.jsonl");
+  std::remove(log.c_str());
+  EXPECT_EQ(Run({"query", "--dtd", Path("hospital.dtd"), "--view",
+                 Path("audit_nurse.view"), "--xml", Path("doc.xml"),
+                 "--query", "//bill", "--bind", "wardNo=3", "--audit-log",
+                 log}),
+            0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("# audit: 1 event(s) appended to"),
+            std::string::npos)
+      << out_.str();
+  EXPECT_EQ(Run({"audit-verify", "--log", log}), 0) << err_.str();
+  EXPECT_NE(out_.str().find("ok: 1 audit events validated"),
+            std::string::npos)
+      << out_.str();
+}
+
+TEST_F(CliTest, QueryWithSavedViewHonoursNodeBudget) {
+  ASSERT_EQ(Run({"derive", "--dtd", Path("hospital.dtd"), "--spec",
+                 Path("nurse.spec"), "--out", Path("budget_nurse.view")}),
             0);
   EXPECT_EQ(Run({"query", "--dtd", Path("hospital.dtd"), "--view",
-                 Path("nurse.view"), "--xml", Path("doc.xml"), "--query",
-                 "//bill", "--bind", "wardNo=3", "--audit-log",
-                 Path("nope.jsonl")}),
+                 Path("budget_nurse.view"), "--xml", Path("doc.xml"),
+                 "--query", "//patient//bill", "--bind", "wardNo=3",
+                 "--max-nodes", "1"}),
+            5);
+  EXPECT_NE(err_.str().find("ResourceExhausted"), std::string::npos)
+      << err_.str();
+  EXPECT_NE(err_.str().find("node-visit budget exhausted"), std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, QueryWithSavedViewWritesMetricsSnapshots) {
+  ASSERT_EQ(Run({"derive", "--dtd", Path("hospital.dtd"), "--spec",
+                 Path("nurse.spec"), "--out", Path("snap_nurse.view")}),
+            0);
+  std::string dir = testing::TempDir() + "/secview_cli_view_snapdir";
+  std::remove((dir + "/metrics.prom").c_str());
+  std::remove((dir + "/metrics.json").c_str());
+  EXPECT_EQ(Run({"query", "--dtd", Path("hospital.dtd"), "--view",
+                 Path("snap_nurse.view"), "--xml", Path("doc.xml"),
+                 "--query", "//patient/name", "--bind", "wardNo=3",
+                 "--metrics-snapshot-dir", dir}),
+            0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("# metrics snapshot: " + dir), std::string::npos)
+      << out_.str();
+  EXPECT_TRUE(std::ifstream(dir + "/metrics.prom").good());
+  EXPECT_TRUE(std::ifstream(dir + "/metrics.json").good());
+}
+
+TEST_F(CliTest, QueryWithSavedViewRefusesExtract) {
+  ASSERT_EQ(Run({"derive", "--dtd", Path("hospital.dtd"), "--spec",
+                 Path("nurse.spec"), "--out", Path("extract_nurse.view")}),
+            0);
+  EXPECT_EQ(Run({"query", "--dtd", Path("hospital.dtd"), "--view",
+                 Path("extract_nurse.view"), "--xml", Path("doc.xml"),
+                 "--query", "//patient", "--bind", "wardNo=3", "--extract"}),
             1);
   EXPECT_NE(err_.str().find("--spec"), std::string::npos) << err_.str();
+  EXPECT_EQ(out_.str(), "");
+}
+
+TEST_F(CliTest, CommandRejectsFlagsItDoesNotRead) {
+  // rewrite reads no document, budget, audit log or pool: each of these
+  // flags is refused by name instead of being silently ignored.
+  std::string log = Path("unread_audit.jsonl");
+  std::remove(log.c_str());
+  const std::vector<std::vector<std::string>> unread = {
+      {"--xml", Path("doc.xml")},
+      {"--max-nodes", "1"},
+      {"--audit-log", log},
+      {"--threads", "3"},
+      {"--stats"},
+  };
+  for (const std::vector<std::string>& flag : unread) {
+    std::vector<std::string> argv = {"rewrite", "--dtd", Path("hospital.dtd"),
+                                     "--spec", Path("nurse.spec"), "--query",
+                                     "//bill"};
+    argv.insert(argv.end(), flag.begin(), flag.end());
+    EXPECT_EQ(Run(argv), 2) << flag[0];
+    EXPECT_NE(err_.str().find("`secview rewrite` does not take " + flag[0]),
+              std::string::npos)
+        << err_.str();
+    EXPECT_EQ(out_.str(), "");
+  }
+  EXPECT_FALSE(std::ifstream(log).good()) << "no audit log may be written";
+  // derive and materialize need the specification itself.
+  EXPECT_EQ(Run({"derive", "--dtd", Path("hospital.dtd"), "--view",
+                 Path("nurse.spec")}),
+            2);
+  EXPECT_NE(err_.str().find("`secview derive` does not take --view"),
+            std::string::npos)
+      << err_.str();
+  // --failpoints is read by every command.
+  EXPECT_EQ(Run({"rewrite", "--dtd", Path("hospital.dtd"), "--spec",
+                 Path("nurse.spec"), "--query", "//bill", "--failpoints",
+                 "audit.write=off"}),
+            0)
+      << err_.str();
+  EXPECT_EQ(Run({"help", "--failpoints", "audit.write=off"}), 0);
 }
 
 TEST_F(CliTest, ExplainTextNamesSigmaAndPrunes) {

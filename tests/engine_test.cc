@@ -8,6 +8,7 @@
 #include "obs/audit.h"
 #include "obs/policy_stats.h"
 #include "obs/trace_store.h"
+#include "security/view_io.h"
 #include "workload/hospital.h"
 #include "workload/synthetic.h"
 #include "xml/parser.h"
@@ -613,6 +614,74 @@ TEST_F(EngineTest, ExtractResultsRequiresBindingsForParamPolicies) {
   auto answer = engine_->ExtractResults("nurse", doc_, result->nodes);
   EXPECT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(EngineTest, SavedViewPolicyServesLikeItsSpecification) {
+  // A policy registered from a saved view definition (the `derive --out`
+  // round trip) answers every nurse query with the spec policy's nodes.
+  auto derived = engine_->View("nurse");
+  ASSERT_TRUE(derived.ok());
+  auto saved = ParseView(engine_->dtd(), SerializeView(**derived));
+  ASSERT_TRUE(saved.ok()) << saved.status();
+  ASSERT_TRUE(engine_->RegisterPolicy("saved", std::move(saved).value()).ok());
+  EXPECT_EQ(engine_->PublishedViewDtd("saved").value(),
+            engine_->PublishedViewDtd("nurse").value());
+  for (const char* ward : {"3", "7"}) {
+    ExecuteOptions ward_options;
+    ward_options.bindings = {{"wardNo", ward}};
+    for (const char* q : {"//patient/name", "//bill", "//patient//bill",
+                          "//patient[wardNo]/name", "//bill | //medication",
+                          "//clinicalTrial", "//test"}) {
+      for (bool optimize : {true, false}) {
+        ward_options.optimize = optimize;
+        auto from_spec = engine_->Execute("nurse", doc_, q, ward_options);
+        auto from_view = engine_->Execute("saved", doc_, q, ward_options);
+        ASSERT_TRUE(from_spec.ok()) << q << ": " << from_spec.status();
+        ASSERT_TRUE(from_view.ok()) << q << ": " << from_view.status();
+        EXPECT_EQ(from_view->nodes, from_spec->nodes)
+            << q << " wardNo=" << ward << " optimize=" << optimize;
+        EXPECT_EQ(ToXPathString(from_view->evaluated),
+                  ToXPathString(from_spec->evaluated));
+      }
+    }
+  }
+  // Extraction filters by the specification's annotations, which a saved
+  // view does not carry.
+  ExecuteOptions options;
+  options.bindings = {{"wardNo", "3"}};
+  auto result = engine_->Execute("saved", doc_, "//patient", options);
+  ASSERT_TRUE(result.ok());
+  auto answer = engine_->ExtractResults("saved", doc_, result->nodes,
+                                        options.bindings);
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(EngineTest, RegisterViewChecksLikeRegisterSpec) {
+  auto derived = engine_->View("nurse");
+  ASSERT_TRUE(derived.ok());
+  const std::string text = SerializeView(**derived);
+  // A view parsed against another Dtd instance, even an equal one.
+  Dtd other = MakeHospitalDtd();
+  auto foreign = ParseView(other, text);
+  ASSERT_TRUE(foreign.ok()) << foreign.status();
+  Status status =
+      engine_->RegisterPolicy("foreign", std::move(foreign).value());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("different DTD"), std::string::npos);
+  // Empty and duplicate names.
+  EXPECT_FALSE(
+      engine_->RegisterPolicy("", ParseView(engine_->dtd(), text).value())
+          .ok());
+  EXPECT_FALSE(
+      engine_->RegisterPolicy("nurse", ParseView(engine_->dtd(), text).value())
+          .ok());
+  // After Seal().
+  engine_->Seal();
+  status =
+      engine_->RegisterPolicy("late", ParseView(engine_->dtd(), text).value());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+  EXPECT_EQ(engine_->PolicyNames(), std::vector<std::string>{"nurse"});
 }
 
 TEST(EngineRecursiveTest, RecursiveViewsWorkThroughTheEngine) {

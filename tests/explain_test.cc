@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
-#include "security/derive.h"
-#include "security/spec_parser.h"
+#include "security/view_io.h"
 #include "workload/hospital.h"
 #include "workload/synthetic.h"
 #include "xml/parser.h"
@@ -191,16 +190,31 @@ TEST(ExplainTest, UnknownPolicyIsNotFound) {
   EXPECT_EQ(explain.status().code(), StatusCode::kNotFound);
 }
 
-TEST(ExplainTest, FreeFunctionWorksWithoutAnEngine) {
-  Dtd dtd = MakeHospitalDtd();
-  auto spec = ParseAccessSpec(dtd, kNursePolicy);
-  ASSERT_TRUE(spec.ok()) << spec.status();
-  auto view = DeriveSecurityView(*spec);
-  ASSERT_TRUE(view.ok());
-  auto explain = ExplainQuery(dtd, *view, "//patient/name");
-  ASSERT_TRUE(explain.ok()) << explain.status();
-  EXPECT_TRUE(explain->policy.empty());
-  EXPECT_FALSE(explain->rewritten_xpath.empty());
+TEST(ExplainTest, SavedViewPolicyExplainsLikeItsSpecification) {
+  // A view saved with SerializeView and registered back explains
+  // byte-identically to the policy it was derived from.
+  auto engine = MakeNurseEngine();
+  auto derived = engine->View("nurse");
+  ASSERT_TRUE(derived.ok());
+  auto saved = ParseView(engine->dtd(), SerializeView(**derived));
+  ASSERT_TRUE(saved.ok()) << saved.status();
+  ASSERT_TRUE(engine->RegisterPolicy("saved", std::move(saved).value()).ok());
+  for (const char* q : {"//patient//bill", "dept/patientInfo/patient/name",
+                        "//bill | //clinicalTrial"}) {
+    for (bool optimize : {true, false}) {
+      ExplainOptions options;
+      options.optimize = optimize;
+      auto from_spec = engine->Explain("nurse", q, options);
+      auto from_view = engine->Explain("saved", q, options);
+      ASSERT_TRUE(from_spec.ok()) << from_spec.status();
+      ASSERT_TRUE(from_view.ok()) << from_view.status();
+      EXPECT_EQ(from_view->policy, "saved");
+      from_view->policy = "nurse";
+      EXPECT_EQ(from_view->ToText(), from_spec->ToText()) << q;
+      EXPECT_EQ(from_view->ToJson().Dump(/*pretty=*/false),
+                from_spec->ToJson().Dump(/*pretty=*/false));
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "engine/engine.h"
 #include "engine/worker_pool.h"
 #include "obs/audit.h"
+#include "obs/policy_stats.h"
+#include "obs/serving_stats.h"
 #include "workload/hospital.h"
 #include "xml/parser.h"
 #include "xpath/evaluator.h"
@@ -551,6 +553,44 @@ TEST_F(EngineBudgetTest, PoolShedRecordsAuditEvents) {
   // The shed queries' events are counted like the executed one's.
   EXPECT_EQ(engine_->metrics().GetCounter("audit.events").value(),
             sink.events().size());
+}
+
+TEST_F(EngineBudgetTest, PoolShedAddsNoLatencySample) {
+  // Shed queries count in the outcome mix, but only the executed query's
+  // latency reaches the percentiles: p50 is its bucket, not 0 us.
+  obs::SlidingWindowStats window;
+  obs::PolicyStatsTable policy_stats;
+  engine_->AttachServingObservers(&window, /*slow_log=*/nullptr);
+  engine_->AttachPolicyStats(&policy_stats);
+  QueryWorkerPool::Options pool_options;
+  pool_options.threads = 1;
+  pool_options.queue_cap = 1;
+  QueryWorkerPool pool(*engine_, pool_options);
+  std::vector<std::string> queries(3, "//patient/name");
+  auto results = pool.ExecuteBatch("nurse", *doc_, queries, BoundOptions());
+  ASSERT_TRUE(results[0].ok()) << results[0].status();
+
+  const obs::Histogram& executed =
+      engine_->metrics().GetHistogram("engine.execute.micros");
+  ASSERT_EQ(executed.count(), 1u);
+  const uint64_t expected_p50 = executed.ApproxPercentile(0.5);
+  ASSERT_GT(expected_p50, executed.bounds().front())
+      << "the executed query must land past the first latency bucket";
+
+  obs::SlidingWindowStats::Window w = window.Snapshot(60);
+  EXPECT_EQ(w.count, 3u);
+  EXPECT_EQ(w.ok, 1u);
+  EXPECT_EQ(w.timeout, 2u);  // shed = ResourceExhausted = "timeout"
+  EXPECT_EQ(w.p50_micros, expected_p50);
+  EXPECT_EQ(w.p99_micros, expected_p50);
+
+  std::vector<obs::PolicyStatsTable::PolicySnapshot> rows =
+      policy_stats.Snapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].queries, 3u);
+  EXPECT_EQ(rows[0].timeout, 2u);
+  EXPECT_EQ(rows[0].p50_micros, expected_p50);
+  EXPECT_EQ(rows[0].latency_sum_micros, executed.sum());
 }
 
 TEST_F(EngineBudgetTest, PoolDeadlineCoversQueueWait) {

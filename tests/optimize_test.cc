@@ -406,14 +406,6 @@ TEST_F(OptimizerTest, OptimizeAtNonRootContext) {
   EXPECT_FALSE(optimizer_->OptimizeAt(MustParse("*"), 10'000).ok());
 }
 
-TEST_F(OptimizerTest, PassThroughHelperOnRecursiveDtd) {
-  RecursiveFixture fixture = MakeRecursiveFixture();
-  PathPtr q = MustParse("//title");
-  EXPECT_EQ(OptimizeOrPassThrough(fixture.dtd, q), q);
-  // And on a DAG it optimizes.
-  EXPECT_NE(OptimizeOrPassThrough(dtd_, q), q);
-}
-
 
 // -- The paper's Example 5.4 over the hospital DTD --------------------------------
 
