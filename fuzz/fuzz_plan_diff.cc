@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,7 +21,12 @@
 /// compared with the reference walk (EvaluateAtRoot), which shares no
 /// code with the VM. Any difference in status code or result NodeSet
 /// traps; the budgeted run may instead refuse the query with
-/// ResourceExhausted, but never return a partial set. The deterministic
+/// ResourceExhausted, but never return a partial set. A query s/rest
+/// also runs `rest` from a caller-supplied context, the reference answer
+/// of its first step s: as given when it has two or more nodes, and with
+/// every node duplicated, so that {a, a} meets a path-summary extent
+/// {a, b} of the same count. Its answer must be the union of
+/// EvaluateAtNode over that context. The deterministic
 /// companion is tests/plan_test.cc; the seed corpus is shared with
 /// fuzz_xpath (tests/corpus/xpath/).
 
@@ -94,6 +101,42 @@ void CheckSame(const Answer& reference, const Answer& vm) {
   if (reference.nodes != vm.nodes) __builtin_trap();
 }
 
+/// Splits `p` into its first step (the leftmost operand of its top-level
+/// '/' chain) and the rest; the rest is null when `p` is one step.
+std::pair<secview::PathPtr, secview::PathPtr> SplitFirstStep(
+    const secview::PathPtr& p) {
+  if (p->kind != secview::PathKind::kSlash) return {p, nullptr};
+  auto [first, rest] = SplitFirstStep(p->left);
+  return {first, rest == nullptr ? p->right
+                                 : secview::MakeSlash(rest, p->right)};
+}
+
+/// Runs `bound` compiled from `context` and traps unless its answer is
+/// the union of the reference walk's answers at each context node. A
+/// duplicated context is compared as a set: ε steps pass its duplicates
+/// through.
+void CheckFromContext(const secview::XmlTree& doc,
+                      const secview::PathPtr& bound,
+                      const secview::NodeSet& context, bool as_set) {
+  std::set<secview::NodeId> expected;
+  for (secview::NodeId v : context) {
+    auto at = secview::EvaluateAtNode(doc, bound, v);
+    if (!at.ok()) __builtin_trap();  // the root run succeeded
+    expected.insert(at->begin(), at->end());
+  }
+  auto plan = secview::CompilePlan(bound);
+  if (plan == nullptr) __builtin_trap();
+  secview::XPathEvaluator evaluator(doc);
+  auto result = evaluator.EvaluateCompiled(*plan, context);
+  if (!result.ok()) __builtin_trap();
+  secview::NodeSet nodes = std::move(result).value();
+  if (as_set) nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  if (!std::equal(nodes.begin(), nodes.end(), expected.begin(),
+                  expected.end())) {
+    __builtin_trap();
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -135,5 +178,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   } else {
     CheckSame(reference, budgeted);
   }
+
+  if (!reference.status.ok()) return 0;
+  auto [first, rest] = SplitFirstStep(secview::BindParams(p, Bindings()));
+  if (rest == nullptr) return 0;
+  auto context = secview::EvaluateAtRoot(*doc, first);
+  if (!context.ok() || context->empty()) return 0;
+  if (context->size() >= 2) {
+    CheckFromContext(*doc, rest, *context, /*as_set=*/false);
+  }
+  secview::NodeSet duplicated;
+  for (secview::NodeId v : *context) duplicated.insert(duplicated.end(), 2, v);
+  CheckFromContext(*doc, rest, duplicated, /*as_set=*/true);
   return 0;
 }

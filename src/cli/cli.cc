@@ -805,10 +805,11 @@ Status CmdServe(const Args& args, std::ostream& out) {
   SECVIEW_ASSIGN_OR_RETURN(ServeLimits limits, LoadServeLimits(args));
   SECVIEW_ASSIGN_OR_RETURN(DtdBundle bundle, LoadDtdBundle(args));
   SECVIEW_ASSIGN_OR_RETURN(XmlTree doc, LoadXml(args, bundle, limits.xml));
-  // The served document's footprint is fixed for the command's
-  // lifetime: one exact ledger charge covers it.
-  obs::ScopedLedgerCharge doc_charge(
-      "xml.doc", static_cast<int64_t>(doc.MemoryFootprintBytes()));
+  // The served document grows once, when the first evaluation builds its
+  // path summary: a live provider reports its current footprint.
+  obs::ScopedLedgerProvider doc_footprint("xml.doc", [&doc] {
+    return static_cast<int64_t>(doc.MemoryFootprintBytes());
+  });
   SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
                            LoadEngine(args, bundle));
   ScopedFailpointMetrics failpoint_metrics(&engine->metrics());
@@ -964,8 +965,9 @@ Status CmdBenchServe(const Args& args, std::ostream& out) {
   SECVIEW_ASSIGN_OR_RETURN(std::unique_ptr<SecureQueryEngine> engine,
                            LoadEngine(args, bundle));
   ScopedFailpointMetrics failpoint_metrics(&engine->metrics());
-  obs::ScopedLedgerCharge doc_charge(
-      "xml.doc", static_cast<int64_t>(doc.MemoryFootprintBytes()));
+  obs::ScopedLedgerProvider doc_footprint("xml.doc", [&doc] {
+    return static_cast<int64_t>(doc.MemoryFootprintBytes());
+  });
 
   SECVIEW_ASSIGN_OR_RETURN(uint64_t threads_n, CountFlag(args, "--threads", 0));
   if (args.values.count("--threads") && threads_n < 1) {

@@ -577,7 +577,9 @@ void SecureQueryEngine::Publish(
     policy_stats_->Record(policy, outcome, latency_sample, s.nodes_touched,
                           s.alloc_bytes);
   }
-  if (slow_log_ != nullptr && latency_micros >= slow_log_->threshold_micros()) {
+  // Only an executed query has a latency and costs worth logging as slow.
+  if (slow_log_ != nullptr && result != nullptr &&
+      latency_micros >= slow_log_->threshold_micros()) {
     obs::SlowQueryLog::Entry entry;
     entry.unix_micros = obs::AuditEvent::NowUnixMicros();
     entry.policy = policy;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace secview {
 
@@ -13,10 +14,12 @@ XmlTree XmlTree::Clone() const {
   copy.texts_ = texts_;
   copy.attrs_ = attrs_;
   copy.height_ = height_;
+  if (!nodes_.empty()) copy.DropSummary();
   return copy;
 }
 
 NodeId XmlTree::NewNode(NodeKind kind, NodeId parent) {
+  DropSummary();
   NodeId id = static_cast<NodeId>(nodes_.size());
   Node node;
   node.kind = kind;
@@ -88,6 +91,104 @@ void XmlTree::SetAttribute(NodeId node, std::string_view name,
 
 void XmlTree::SetOrigin(NodeId node, NodeId origin) {
   nodes_[node].origin = origin;
+}
+
+void XmlTree::DropSummary() {
+  // Mutation is single-threaded (a shared tree is read-only), so reading
+  // `built` here races with no Summary() call.
+  if (summary_ == nullptr || summary_->built.load(std::memory_order_relaxed)) {
+    summary_ = std::make_unique<SummaryCell>();
+  }
+}
+
+const PathSummary& XmlTree::Summary() const {
+  if (summary_ == nullptr) {
+    static const PathSummary& kEmpty = *new PathSummary();
+    return kEmpty;
+  }
+  std::call_once(summary_->once, [this] {
+    BuildSummary(summary_->summary);
+    summary_->built.store(true, std::memory_order_release);
+  });
+  return summary_->summary;
+}
+
+void XmlTree::BuildSummary(PathSummary& out) const {
+  // Classify each element by (parent class, label) in document order: a
+  // parent precedes its children, so its class is already known.
+  std::vector<int32_t>& node_class = out.node_class_;
+  node_class.assign(nodes_.size(), -1);
+  std::vector<int32_t> class_parent;
+  std::vector<int32_t> class_label;
+  std::unordered_map<uint64_t, int32_t> classes;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    if (node.kind != NodeKind::kElement) continue;
+    const int32_t parent_class =
+        node.parent == kNullNode ? -1 : node_class[node.parent];
+    const uint64_t key =
+        (static_cast<uint64_t>(static_cast<uint32_t>(parent_class)) << 32) |
+        static_cast<uint32_t>(node.label_id);
+    const auto [it, inserted] = classes.try_emplace(
+        key, static_cast<int32_t>(class_parent.size()));
+    if (inserted) {
+      class_parent.push_back(parent_class);
+      class_label.push_back(node.label_id);
+    }
+    node_class[i] = it->second;
+  }
+  const size_t class_count = class_parent.size();
+
+  // Extents: counting sort of the elements by class, stable, so each
+  // extent stays in document order.
+  out.extent_begin_.assign(class_count + 1, 0);
+  for (int32_t c : node_class) {
+    if (c >= 0) ++out.extent_begin_[c + 1];
+  }
+  for (size_t c = 0; c < class_count; ++c) {
+    out.extent_begin_[c + 1] += out.extent_begin_[c];
+  }
+  out.extent_.resize(out.extent_begin_[class_count]);
+  std::vector<int32_t> cursor(out.extent_begin_.begin(),
+                              out.extent_begin_.end() - 1);
+  for (size_t i = 0; i < node_class.size(); ++i) {
+    if (node_class[i] >= 0) {
+      out.extent_[cursor[node_class[i]]++] = static_cast<NodeId>(i);
+    }
+  }
+
+  // Child tables: every class but the root's is one entry in its
+  // parent's table.
+  out.child_begin_.assign(class_count + 1, 0);
+  for (int32_t parent : class_parent) {
+    if (parent >= 0) ++out.child_begin_[parent + 1];
+  }
+  for (size_t c = 0; c < class_count; ++c) {
+    out.child_begin_[c + 1] += out.child_begin_[c];
+  }
+  out.child_label_.resize(out.child_begin_[class_count]);
+  out.child_class_.resize(out.child_begin_[class_count]);
+  cursor.assign(out.child_begin_.begin(), out.child_begin_.end() - 1);
+  for (size_t c = 0; c < class_count; ++c) {
+    if (class_parent[c] < 0) continue;
+    const int32_t slot = cursor[class_parent[c]]++;
+    out.child_label_[slot] = class_label[c];
+    out.child_class_[slot] = static_cast<int32_t>(c);
+  }
+}
+
+int32_t PathSummary::ChildClass(int32_t cls, int label_id) const {
+  for (int32_t i = child_begin_[cls]; i < child_begin_[cls + 1]; ++i) {
+    if (child_label_[i] == label_id) return child_class_[i];
+  }
+  return -1;
+}
+
+size_t PathSummary::MemoryFootprintBytes() const {
+  return sizeof(int32_t) *
+         (node_class_.capacity() + extent_begin_.capacity() +
+          extent_.capacity() + child_begin_.capacity() +
+          child_label_.capacity() + child_class_.capacity());
 }
 
 std::string_view XmlTree::label(NodeId n) const {
@@ -220,6 +321,12 @@ size_t XmlTree::MemoryFootprintBytes() const {
     (void)id;
     total += sizeof(void*) * 2 + sizeof(int) + sizeof(std::string) +
              StringHeapBytes(label);
+  }
+  if (summary_ != nullptr) {
+    total += sizeof(SummaryCell);
+    if (summary_->built.load(std::memory_order_acquire)) {
+      total += summary_->summary.MemoryFootprintBytes();
+    }
   }
   return total;
 }

@@ -1,8 +1,12 @@
 #ifndef SECVIEW_XML_TREE_H_
 #define SECVIEW_XML_TREE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -20,6 +24,47 @@ inline constexpr NodeId kNullNode = -1;
 /// Node kinds of the paper's data model: element nodes and text (PCDATA)
 /// leaves (Section 2).
 enum class NodeKind : uint8_t { kElement, kText };
+
+class XmlTree;
+
+/// A strong DataGuide (Goldman & Widom, VLDB 1997) of one XmlTree. Each
+/// element's *class* is its root-to-node label path; class 0 is the
+/// root's. Each class has a child table (label id -> class) and an
+/// extent, its elements in document order. All extents share one CSR
+/// array. Because a child of an element in class c is in a class whose
+/// parent is c, "the children labeled l of every element of c" is
+/// exactly the extent of c's l-child: the compiled-plan VM answers such
+/// a step with a copy instead of a walk. Built by XmlTree::Summary().
+class PathSummary {
+ public:
+  /// Class of node `n`; -1 for text nodes.
+  int32_t ClassOf(NodeId n) const { return node_class_[n]; }
+
+  size_t class_count() const { return extent_begin_.size() - 1; }
+
+  /// The class of the elements labeled `label_id` under class `cls`, or
+  /// -1 if no element of `cls` has such a child.
+  int32_t ChildClass(int32_t cls, int label_id) const;
+
+  /// The elements of class `cls`, in document order.
+  std::span<const NodeId> Extent(int32_t cls) const {
+    return {extent_.data() + extent_begin_[cls],
+            extent_.data() + extent_begin_[cls + 1]};
+  }
+
+  /// Heap bytes behind the tables (vector capacities).
+  size_t MemoryFootprintBytes() const;
+
+ private:
+  friend class XmlTree;
+
+  std::vector<int32_t> node_class_;         // by NodeId
+  std::vector<int32_t> extent_begin_{0};    // by class, plus the end
+  std::vector<NodeId> extent_;              // extents, class by class
+  std::vector<int32_t> child_begin_{0};     // by class, plus the end
+  std::vector<int32_t> child_label_;        // child tables, class by class
+  std::vector<int32_t> child_class_;
+};
 
 /// An ordered XML tree in the paper's data model: a root element, element
 /// nodes labeled with element-type names, and text leaves carrying string
@@ -139,11 +184,17 @@ class XmlTree {
   /// Total serialized size estimate in bytes (labels + text + markup).
   size_t EstimateSerializedSize() const;
 
+  /// The tree's path summary, built on first use in one pass over the
+  /// nodes under a once-flag, so concurrent readers of a shared tree
+  /// build it once. CreateRoot, AppendElement and AppendText drop a
+  /// built summary; the next call rebuilds it.
+  const PathSummary& Summary() const;
+
   /// Approximate resident heap footprint of this tree: vector capacities
   /// plus string and attribute storage (SSO-aware) plus an estimate for
-  /// the label-intern map. Feeds the subsystem memory ledger
-  /// (obs/mem_ledger.h) — the measurement baseline the planned arena
-  /// store must beat.
+  /// the label-intern map, plus the path summary once it is built. Feeds
+  /// the subsystem memory ledger (obs/mem_ledger.h) — the measurement
+  /// baseline the planned arena store must beat.
   size_t MemoryFootprintBytes() const;
 
  private:
@@ -163,8 +214,19 @@ class XmlTree {
   };
   static_assert(sizeof(Node) == 36, "Node must stay nine words");
 
+  /// The lazily built summary behind its once-flag, on the heap so the
+  /// tree stays movable. Null only while the tree has no nodes.
+  struct SummaryCell {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    PathSummary summary;
+  };
+
   NodeId NewNode(NodeKind kind, NodeId parent);
   int InternLabel(std::string_view label);
+  /// Gives the tree a fresh, unbuilt summary cell unless it has one.
+  void DropSummary();
+  void BuildSummary(PathSummary& out) const;
 
   std::vector<Node> nodes_;
   std::vector<std::string> labels_;
@@ -172,6 +234,7 @@ class XmlTree {
   std::vector<std::string> texts_;
   std::vector<std::vector<std::pair<std::string, std::string>>> attrs_;
   int height_ = 0;  // max Node::depth
+  std::unique_ptr<SummaryCell> summary_;
 };
 
 }  // namespace secview

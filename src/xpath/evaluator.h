@@ -186,6 +186,11 @@ class XPathEvaluator {
   EvalScratch* scratch_ = nullptr;
   const int* plan_labels_ = nullptr;
   const std::string* const* plan_consts_ = nullptr;
+  /// The tree's path summary, looked up once per EvaluateCompiled call
+  /// (its once-flag stays out of the step loop).
+  const PathSummary* summary_ = nullptr;
+  /// Nesting depth of qualifier paths being run (0 on the main path).
+  int qual_depth_ = 0;
 };
 
 // ---------------------------------------------------------------------------

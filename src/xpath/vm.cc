@@ -114,6 +114,7 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
   scratch_ = scratch;
   plan_labels_ = labels.data();
   plan_consts_ = consts.data();
+  summary_ = &tree_->Summary();
 
   EvalCounters before = counters_;
   NodeSet result;
@@ -129,6 +130,7 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
   scratch_ = nullptr;
   plan_labels_ = nullptr;
   plan_consts_ = nullptr;
+  summary_ = nullptr;
 
   FlushDelta(before);
   if (metrics_ != nullptr) metrics_->compiled_queries->Add();
@@ -216,6 +218,25 @@ void XPathEvaluator::RunOpStep(int32_t op_idx, const NodeSet& ctx,
 }
 
 void XPathEvaluator::RunLabel(int label_id, const NodeSet& ctx, NodeSet& out) {
+  // Whole-extent step: when the context is exactly the extent of one
+  // path-summary class, its `label_id` children are exactly the extent of
+  // that class's child class, already in document order. Steps inside a
+  // qualifier are not tested: their context descends from one node, is
+  // rarely a whole extent, and the test would cost every qualifier.
+  if (qual_depth_ == 0) {
+    const int32_t cls = summary_->ClassOf(ctx[0]);
+    if (cls >= 0 && std::ranges::equal(ctx, summary_->Extent(cls))) {
+      const int32_t child = summary_->ChildClass(cls, label_id);
+      if (child < 0) return;
+      const std::span<const NodeId> extent = summary_->Extent(child);
+      out.assign(extent.begin(), extent.end());
+      // One visit per copied entry, charged to the budget like any other.
+      counters_.nodes_touched += extent.size();
+      ++counters_.sort_skips;
+      BudgetTripped();
+      return;
+    }
+  }
   for (NodeId v : ctx) {
     if (BudgetTripped()) break;
     if (!tree_->IsElement(v)) continue;
@@ -353,14 +374,18 @@ bool XPathEvaluator::RunQualStep(int32_t q_idx, NodeId node) {
       BorrowedSet ctx(*scratch_);
       BorrowedSet reached(*scratch_);
       ctx->push_back(node);
+      ++qual_depth_;
       RunOp(q.path, *ctx, *reached);
+      --qual_depth_;
       return !reached->empty();
     }
     case QualKind::kPathEqConst: {
       BorrowedSet ctx(*scratch_);
       BorrowedSet reached(*scratch_);
       ctx->push_back(node);
+      ++qual_depth_;
       RunOp(q.path, *ctx, *reached);
+      --qual_depth_;
       const std::string& want = *plan_consts_[q.constant];
       for (NodeId v : *reached) {
         ++counters_.nodes_touched;

@@ -5,7 +5,9 @@
 // EXPLAIN-while-serving. Run these under -DSECVIEW_SANITIZE=thread
 // (scripts/check.sh does) — a passing race-free run is the point.
 
+#include <algorithm>
 #include <atomic>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "workload/hospital.h"
 #include "workload/synthetic.h"
 #include "xml/parser.h"
+#include "xpath/evaluator.h"
 #include "xpath/parser.h"
 #include "xpath/plan.h"
 #include "xpath/printer.h"
@@ -541,6 +544,65 @@ TEST(ConcurrentEngineTest, ExplainWhileServing) {
 
 // The EvalLabel/EvalWildcard fast path (single context node skips
 // SortUnique) must fire and be observable.
+TEST(ConcurrentEngineTest, FirstExecutionsBuildOneSharedPathSummary) {
+  // Four threads run the first evaluation over a fresh shared tree at the
+  // same moment, so they race on building its path summary, while a
+  // fifth reads the tree's footprint (the /memz provider's read). Every
+  // answer must be the reference walk's.
+  XmlTree doc = MakeHospitalDoc();
+  auto engine = MakeHospitalEngine();
+  const std::vector<std::pair<std::string, std::string>> runs = {
+      {"nurse", "//patient/name"},
+      {"researcher", "//patient/name"},
+      {"nurse", "//bill"},
+      {"researcher", "//bill"}};
+  for (const auto& [policy, query] : runs) {
+    ASSERT_TRUE(engine->Rewrite(policy, query, /*optimize=*/true).ok());
+  }
+  engine->Seal();
+  const size_t unbuilt_bytes = doc.MemoryFootprintBytes();
+
+  std::latch start(static_cast<std::ptrdiff_t>(runs.size()) + 1);
+  std::atomic<bool> done{false};
+  std::vector<Result<ExecuteResult>> results(
+      runs.size(), Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    threads.emplace_back([&, i] {
+      ExecuteOptions options;
+      if (runs[i].first == "nurse") options = NurseOptions();
+      start.arrive_and_wait();
+      results[i] = engine->Execute(runs[i].first, doc, runs[i].second,
+                                   options);
+    });
+  }
+  size_t max_bytes = 0;
+  std::thread reader([&] {
+    start.arrive_and_wait();
+    while (!done.load()) {
+      max_bytes = std::max(max_bytes, doc.MemoryFootprintBytes());
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  done.store(true);
+  reader.join();
+
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const std::string what = runs[i].first + " " + runs[i].second;
+    ASSERT_TRUE(results[i].ok()) << what << ": " << results[i].status();
+    ASSERT_NE(results[i]->evaluated, nullptr) << what;
+    PathPtr bound = results[i]->evaluated;
+    if (runs[i].first == "nurse") bound = BindParams(bound, {{"wardNo", "3"}});
+    auto reference = EvaluateAtRoot(doc, bound);
+    ASSERT_TRUE(reference.ok()) << what << ": " << reference.status();
+    EXPECT_EQ(results[i]->nodes, *reference) << what;
+    EXPECT_FALSE(results[i]->nodes.empty()) << what;
+  }
+  const size_t built_bytes = doc.MemoryFootprintBytes();
+  EXPECT_GE(built_bytes, unbuilt_bytes + 4 * doc.node_count());
+  EXPECT_LE(max_bytes, built_bytes);
+}
+
 TEST(ConcurrentEngineTest, SortSkipCounterFires) {
   auto engine = MakeHospitalEngine();
   XmlTree doc = MakeHospitalDoc();

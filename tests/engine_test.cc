@@ -206,12 +206,14 @@ std::string AuditLineWithoutTimings(const obs::Json& line) {
 
 TEST_F(EngineTest, AuditLinesOfBoundAndUnboundRequestsAreUnchanged) {
   constexpr char kBoundLine[] =
-      R"json({"schema":"secview.audit.v1","seq":0,"policy":"nurse","query":"//patient//bill","outcome":"ok","status":"OK","rewritten":"dept[*/patient/wardNo = $wardNo]/(clinicalTrial/patientInfo | patientInfo)/patient/treatment/(trial | regular)/bill","evaluated":"dept/.[patientInfo/patient/wardNo = \"3\"]/(clinicalTrial/patientInfo | patientInfo)/patient/treatment/(trial | regular)/bill","results":2,"cache_hit":false,"unfold_depth":0,"ast":{"rewritten":25,"evaluated":27},"cost":{"nodes_touched":32,"predicate_evals":1},"dp":{"rewrite_entries":26,"optimize_entries":27},"prunes":{"nonexistence":2,"simulation_tests":4,"union":0}})json";
+      R"json({"schema":"secview.audit.v1","seq":0,"policy":"nurse","query":"//patient//bill","outcome":"ok","status":"OK","rewritten":"dept[*/patient/wardNo = $wardNo]/(clinicalTrial/patientInfo | patientInfo)/patient/treatment/(trial | regular)/bill","evaluated":"dept/.[patientInfo/patient/wardNo = \"3\"]/(clinicalTrial/patientInfo | patientInfo)/patient/treatment/(trial | regular)/bill","results":2,"cache_hit":false,"unfold_depth":0,"ast":{"rewritten":25,"evaluated":27},"cost":{"nodes_touched":27,"predicate_evals":1},"dp":{"rewrite_entries":26,"optimize_entries":27},"prunes":{"nonexistence":2,"simulation_tests":4,"union":0}})json";
   constexpr char kUnboundLine[] =
       R"json({"schema":"secview.audit.v1","seq":0,"policy":"nurse","query":"//patient//bill","outcome":"denied","status":"FailedPrecondition","error":"the policy's qualifiers have unbound $parameters; pass them in ExecuteOptions::bindings","rewritten":"dept[*/patient/wardNo = $wardNo]/(clinicalTrial/patientInfo | patientInfo)/patient/treatment/(trial | regular)/bill","evaluated":"","results":0,"cache_hit":true,"unfold_depth":0,"ast":{"rewritten":0,"evaluated":0},"cost":{"nodes_touched":0,"predicate_evals":0},"dp":{"rewrite_entries":0,"optimize_entries":0},"prunes":{"nonexistence":0,"simulation_tests":0,"union":0}})json";
   // The audit line prints the evaluated query bound, as it ran; the
   // expected lines were recorded when Execute still bound the AST per
-  // request.
+  // request. The bound line's 27 nodes touched include the three child
+  // steps under the single dept that are answered from the path summary
+  // (one copied entry each, where the walk visited all 8 children).
   CapturingAuditSink sink;
   ExecuteOptions options;
   options.audit = &sink;

@@ -17,6 +17,7 @@
 #include "obs/audit.h"
 #include "obs/policy_stats.h"
 #include "obs/serving_stats.h"
+#include "obs/slow_query_log.h"
 #include "workload/hospital.h"
 #include "xml/parser.h"
 #include "xpath/evaluator.h"
@@ -553,6 +554,28 @@ TEST_F(EngineBudgetTest, PoolShedRecordsAuditEvents) {
   // The shed queries' events are counted like the executed one's.
   EXPECT_EQ(engine_->metrics().GetCounter("audit.events").value(),
             sink.events().size());
+}
+
+TEST_F(EngineBudgetTest, PoolShedAddsNoSlowLogEntry) {
+  // At threshold 0 every executed query is slow, but the shed ones never
+  // ran: they have no latency, cache lookup or costs to report.
+  obs::SlowQueryLog slow_log({.capacity = 8, .threshold_micros = 0});
+  engine_->AttachServingObservers(/*window=*/nullptr, &slow_log);
+  QueryWorkerPool::Options pool_options;
+  pool_options.threads = 1;
+  pool_options.queue_cap = 1;
+  QueryWorkerPool pool(*engine_, pool_options);
+  std::vector<std::string> queries(3, "//patient/name");
+  auto results = pool.ExecuteBatch("nurse", *doc_, queries, BoundOptions());
+  ASSERT_TRUE(results[0].ok()) << results[0].status();
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_FALSE(results[2].ok());
+
+  std::vector<obs::SlowQueryLog::Entry> entries = slow_log.Snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].outcome, obs::ServeOutcome::kOk);
+  EXPECT_GT(entries[0].nodes_touched, 0u);
+  EXPECT_EQ(slow_log.recorded(), 1u);
 }
 
 TEST_F(EngineBudgetTest, PoolShedAddsNoLatencySample) {

@@ -185,6 +185,28 @@ constexpr char kNursePolicy[] = R"(
   ann(regular, medication) = Y
 )";
 
+TEST(HeapObservatoryTest, DocFootprintCountsThePathSummaryOnceBuilt) {
+  auto engine = SecureQueryEngine::Create(MakeHospitalDtd());
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_TRUE((*engine)->RegisterPolicy("nurse", kNursePolicy).ok());
+  auto doc = GenerateDocument(MakeHospitalDtd(),
+                              HospitalGeneratorOptions(5, 20'000));
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  ExecuteOptions exec;
+  exec.bindings = {{"wardNo", "3"}};
+
+  // The first evaluation builds the summary (a class per node, plus the
+  // extents), and the footprint, hence the xml.doc ledger row, shows it.
+  const size_t before = doc->MemoryFootprintBytes();
+  ASSERT_TRUE((*engine)->Execute("nurse", *doc, "//patient", exec).ok());
+  const size_t after = doc->MemoryFootprintBytes();
+  EXPECT_GE(after, before + 4 * doc->node_count());
+
+  // Later evaluations reuse it.
+  ASSERT_TRUE((*engine)->Execute("nurse", *doc, "//bill", exec).ok());
+  EXPECT_EQ(doc->MemoryFootprintBytes(), after);
+}
+
 TEST(HeapObservatoryTest, LedgerAndCountersReconcileAcrossEngineLifecycle) {
   obs::MemLedger& ledger = obs::MemLedger::Instance();
   ledger.ResetForTesting();

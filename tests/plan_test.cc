@@ -9,6 +9,7 @@
 #include "xpath/plan.h"
 
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -315,6 +316,109 @@ TEST(PlanDifferentialTest, CompiledProfilesKeepSumInvariant) {
     EXPECT_EQ(totals.predicate_evals, agg.predicate_evals) << text;
     EXPECT_EQ(totals.index_scans, agg.index_scans) << text;
     EXPECT_EQ(totals.sort_skips, agg.sort_skips) << text;
+  }
+}
+
+/// The reference answer from a caller-supplied context: the union of
+/// the walk's answers at each context node.
+NodeSet ReferenceUnion(const XmlTree& doc, const PathPtr& p,
+                       const NodeSet& context) {
+  std::set<NodeId> nodes;
+  for (NodeId v : context) {
+    auto result = EvaluateAtNode(doc, p, v);
+    EXPECT_TRUE(result.ok()) << result.status();
+    if (result.ok()) nodes.insert(result->begin(), result->end());
+  }
+  return {nodes.begin(), nodes.end()};
+}
+
+TEST(PlanDifferentialTest, WholeExtentChainsFromTheRootMatchReference) {
+  // Child chains from the root run on the path summary: each step copies
+  // one extent and touches one node per copied entry. The chains below
+  // mix summary steps with walks (after a wildcard, a qualifier, or a
+  // union of two classes) and with absent labels.
+  XmlTree doc = MustParseDoc(kHostileDoc);
+  const std::vector<std::pair<std::string, uint64_t>> chains = {
+      {"dept", 2},
+      {"dept/patientInfo/patient/name", 8},
+      {"dept/clinicalTrial/patientInfo/patient/treatment/trial/bill", 8},
+      {"dept/patientInfo/patient/treatment/regular/bill", 12},
+      {"dept/nosuch/name", 2},
+      {"dept/patientInfo/nosuch", 4},
+      {"dept/*/patientInfo", 11},
+      {"dept/(clinicalTrial/patientInfo | patientInfo)/patient", 9},
+      {"dept[@id = \"2\"]/patientInfo/patient", 4},
+  };
+  for (const auto& [text, touched] : chains) {
+    PathPtr p = MustParsePath(text);
+    auto plan = CompilePlan(p);
+    ASSERT_NE(plan, nullptr) << text;
+    XPathEvaluator evaluator(doc);
+    auto vm = evaluator.EvaluateCompiled(*plan, doc.root());
+    ASSERT_TRUE(vm.ok()) << text << ": " << vm.status();
+    Answer reference = RunReference(doc, p, {});
+    EXPECT_EQ(*vm, reference.nodes) << text;
+    EXPECT_EQ(evaluator.counters().nodes_touched, touched) << text;
+  }
+  // A recursive chain: one class per depth, each extent one node.
+  XmlTree chain = MakeDeepChain(64);
+  PathPtr p = MustParsePath("a/a/a/a/a");
+  auto plan = CompilePlan(p);
+  ASSERT_NE(plan, nullptr);
+  XPathEvaluator evaluator(chain);
+  auto vm = evaluator.EvaluateCompiled(*plan, chain.root());
+  ASSERT_TRUE(vm.ok()) << vm.status();
+  EXPECT_EQ(*vm, RunReference(chain, p, {}).nodes);
+  EXPECT_EQ(*vm, NodeSet{5});
+  EXPECT_EQ(evaluator.counters().nodes_touched, 5u);
+}
+
+TEST(PlanDifferentialTest, ContextEqualToAnExtentMatchesReference) {
+  // A caller-supplied context that is exactly the extent of hospital/dept
+  // takes the summary path from its first step on.
+  XmlTree doc = MustParseDoc(kHostileDoc);
+  auto depts = EvaluateAtRoot(doc, MustParsePath("dept"));
+  ASSERT_TRUE(depts.ok()) << depts.status();
+  ASSERT_EQ(depts->size(), 2u);
+  for (const std::string& text :
+       {std::string("patientInfo/patient/name"),
+        std::string("patientInfo/patient[wardNo = \"3\"]/name"),
+        std::string("clinicalTrial/test | staffInfo/staff"),
+        std::string("*/patient")}) {
+    PathPtr p = MustParsePath(text);
+    auto plan = CompilePlan(p);
+    ASSERT_NE(plan, nullptr) << text;
+    XPathEvaluator evaluator(doc);
+    auto vm = evaluator.EvaluateCompiled(*plan, *depts);
+    ASSERT_TRUE(vm.ok()) << text << ": " << vm.status();
+    EXPECT_EQ(*vm, ReferenceUnion(doc, p, *depts)) << text;
+  }
+}
+
+TEST(PlanDifferentialTest, DuplicatedOrUnsortedContextOfEqualCount) {
+  // {d1, d1} and {d2, d1} have the extent's count, {d1, d2}, but only
+  // the unsorted one is the extent's set: a count check alone would
+  // answer {d1, d1} with d2's children too.
+  XmlTree doc = MustParseDoc(kHostileDoc);
+  auto depts = EvaluateAtRoot(doc, MustParsePath("dept"));
+  ASSERT_TRUE(depts.ok()) << depts.status();
+  ASSERT_EQ(depts->size(), 2u);
+  const NodeId d1 = (*depts)[0];
+  const NodeId d2 = (*depts)[1];
+  for (const NodeSet& context :
+       {NodeSet{d1, d1}, NodeSet{d2, d2}, NodeSet{d2, d1}}) {
+    for (const std::string& text :
+         {std::string("patientInfo"), std::string("patientInfo/patient/name"),
+          std::string("patientInfo/patient[wardNo = \"3\"]")}) {
+      PathPtr p = MustParsePath(text);
+      auto plan = CompilePlan(p);
+      ASSERT_NE(plan, nullptr) << text;
+      XPathEvaluator evaluator(doc);
+      auto vm = evaluator.EvaluateCompiled(*plan, context);
+      ASSERT_TRUE(vm.ok()) << text << ": " << vm.status();
+      EXPECT_EQ(*vm, ReferenceUnion(doc, p, context))
+          << text << " from {" << context[0] << ", " << context[1] << "}";
+    }
   }
 }
 

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "xml/parser.h"
@@ -125,6 +129,128 @@ TEST(XmlTreeTest, LabelInterning) {
   EXPECT_EQ(t.label_id(a1), t.label_id(a2));
   EXPECT_EQ(t.FindLabelId("a"), t.label_id(a1));
   EXPECT_EQ(t.FindLabelId("zz"), -1);
+}
+
+// -- Path summary -------------------------------------------------------------
+
+/// The extent of `cls` as a vector, for EXPECT_EQ.
+std::vector<NodeId> ExtentOf(const PathSummary& s, int32_t cls) {
+  std::span<const NodeId> extent = s.Extent(cls);
+  return {extent.begin(), extent.end()};
+}
+
+TEST(XmlTreeTest, SummaryClassIsTheRootToNodeLabelPath) {
+  // r/a/x and r/b/x share a label but not a path.
+  XmlTree t;
+  NodeId root = t.CreateRoot("r");
+  NodeId a = t.AppendElement(root, "a");
+  NodeId ax = t.AppendElement(a, "x");
+  NodeId b = t.AppendElement(root, "b");
+  NodeId bx = t.AppendElement(b, "x");
+  NodeId a2 = t.AppendElement(root, "a");
+  NodeId a2x = t.AppendElement(a2, "x");
+  const PathSummary& s = t.Summary();
+  EXPECT_EQ(s.class_count(), 5u);
+  EXPECT_EQ(s.ClassOf(root), 0);
+  EXPECT_EQ(s.ClassOf(a), s.ClassOf(a2));
+  EXPECT_EQ(s.ClassOf(ax), s.ClassOf(a2x));
+  EXPECT_NE(s.ClassOf(ax), s.ClassOf(bx));
+  const int x = t.FindLabelId("x");
+  EXPECT_EQ(s.ChildClass(s.ClassOf(root), t.label_id(a)), s.ClassOf(a));
+  EXPECT_EQ(s.ChildClass(s.ClassOf(a), x), s.ClassOf(ax));
+  EXPECT_EQ(s.ChildClass(s.ClassOf(b), x), s.ClassOf(bx));
+  EXPECT_EQ(s.ChildClass(s.ClassOf(root), x), -1);  // no r/x element
+  EXPECT_EQ(s.ChildClass(s.ClassOf(bx), x), -1);    // a leaf class
+}
+
+TEST(XmlTreeTest, SummaryGivesRecursiveLabelsOneClassPerDepth) {
+  XmlTree t;
+  std::vector<NodeId> chain = {t.CreateRoot("a")};
+  for (int i = 0; i < 4; ++i) {
+    chain.push_back(t.AppendElement(chain.back(), "a"));
+  }
+  const NodeId second = t.AppendElement(chain[1], "a");  // depth 2 again
+  const PathSummary& s = t.Summary();
+  ASSERT_EQ(s.class_count(), chain.size());
+  for (size_t depth = 0; depth < chain.size(); ++depth) {
+    EXPECT_EQ(s.ClassOf(chain[depth]), static_cast<int32_t>(depth));
+  }
+  EXPECT_EQ(ExtentOf(s, 2), (std::vector<NodeId>{chain[2], second}));
+}
+
+TEST(XmlTreeTest, SummaryGivesTextNodesNoClass) {
+  XmlTree t;
+  NodeId root = t.CreateRoot("r");
+  NodeId text = t.AppendText(root, "hello");
+  NodeId a = t.AppendElement(root, "a");
+  const PathSummary& s = t.Summary();
+  EXPECT_EQ(s.ClassOf(text), -1);
+  EXPECT_EQ(s.ClassOf(a), 1);
+  EXPECT_EQ(s.class_count(), 2u);
+}
+
+TEST(XmlTreeTest, SummaryExtentsAreInDocumentOrder) {
+  auto parsed = ParseXml(
+      "<r><a><x/><x/></a><b><x/></b><a><x/></a><a/><a><x/><x/></a></r>");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const XmlTree& t = *parsed;
+  const PathSummary& s = t.Summary();
+  size_t total = 0;
+  for (size_t c = 0; c < s.class_count(); ++c) {
+    std::vector<NodeId> extent = ExtentOf(s, static_cast<int32_t>(c));
+    ASSERT_FALSE(extent.empty());
+    EXPECT_TRUE(std::is_sorted(extent.begin(), extent.end()));
+    EXPECT_EQ(std::adjacent_find(extent.begin(), extent.end()), extent.end());
+    for (NodeId n : extent) EXPECT_EQ(s.ClassOf(n), static_cast<int32_t>(c));
+    total += extent.size();
+  }
+  EXPECT_EQ(total, t.node_count());  // every element, once
+  const int32_t a = s.ChildClass(0, t.FindLabelId("a"));
+  const int32_t ax = s.ChildClass(a, t.FindLabelId("x"));
+  EXPECT_EQ(ExtentOf(s, a), (std::vector<NodeId>{1, 6, 8, 9}));
+  EXPECT_EQ(ExtentOf(s, ax), (std::vector<NodeId>{2, 3, 7, 10, 11}));
+}
+
+TEST(XmlTreeTest, SummarySurvivesCloneAndMove) {
+  XmlTree t;
+  NodeId root = t.CreateRoot("r");
+  t.AppendElement(t.AppendElement(root, "a"), "x");
+  const size_t built_classes = t.Summary().class_count();
+  ASSERT_EQ(built_classes, 3u);
+
+  XmlTree copy = t.Clone();  // built source: the copy builds its own
+  EXPECT_EQ(copy.Summary().class_count(), 3u);
+  copy.AppendElement(copy.root(), "b");
+  EXPECT_EQ(copy.Summary().class_count(), 4u);
+  EXPECT_EQ(t.Summary().class_count(), 3u);  // the source is untouched
+
+  XmlTree unbuilt;
+  unbuilt.CreateRoot("r");
+  XmlTree unbuilt_copy = unbuilt.Clone();  // unbuilt source
+  EXPECT_EQ(unbuilt_copy.Summary().class_count(), 1u);
+
+  XmlTree moved(std::move(t));
+  EXPECT_EQ(moved.Summary().class_count(), 3u);
+  EXPECT_EQ(moved.Summary().ClassOf(2), 2);
+  XmlTree assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.Summary().class_count(), 3u);
+  XmlTree empty;
+  EXPECT_EQ(empty.Summary().class_count(), 0u);
+}
+
+TEST(XmlTreeTest, AppendAfterSummaryRebuildsIt) {
+  XmlTree t;
+  NodeId root = t.CreateRoot("r");
+  NodeId a = t.AppendElement(root, "a");
+  ASSERT_EQ(t.Summary().class_count(), 2u);
+  NodeId ab = t.AppendElement(a, "b");
+  const PathSummary& s = t.Summary();
+  ASSERT_EQ(s.class_count(), 3u);
+  EXPECT_EQ(s.ClassOf(ab), 2);
+  EXPECT_EQ(ExtentOf(s, 2), std::vector<NodeId>{ab});
+  NodeId text = t.AppendText(ab, "v");
+  EXPECT_EQ(t.Summary().ClassOf(text), -1);  // sized to the new node count
 }
 
 // -- Parser -------------------------------------------------------------------
