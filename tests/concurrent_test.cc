@@ -542,8 +542,6 @@ TEST(ConcurrentEngineTest, ExplainWhileServing) {
   EXPECT_EQ(via_execute.ToText(), expected.ToText());
 }
 
-// The EvalLabel/EvalWildcard fast path (single context node skips
-// SortUnique) must fire and be observable.
 TEST(ConcurrentEngineTest, FirstExecutionsBuildOneSharedPathSummary) {
   // Four threads run the first evaluation over a fresh shared tree at the
   // same moment, so they race on building its path summary, while a
@@ -603,6 +601,8 @@ TEST(ConcurrentEngineTest, FirstExecutionsBuildOneSharedPathSummary) {
   EXPECT_LE(max_bytes, built_bytes);
 }
 
+// The EvalLabel/EvalWildcard fast path (single context node skips
+// SortUnique) must fire and be observable.
 TEST(ConcurrentEngineTest, SortSkipCounterFires) {
   auto engine = MakeHospitalEngine();
   XmlTree doc = MakeHospitalDoc();
