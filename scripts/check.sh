@@ -3,9 +3,9 @@
 # the hostile-input hardening suite, docs/robustness.md) + audit smoke +
 # fuzz smoke over the seed corpus, then a ThreadSanitizer build running
 # the concurrency suite (docs/concurrency.md) — the serve phase must be
-# race-free, not merely passing — and finally a per-request evaluate
-# allocation ceiling and a short oracle-checked run of every perfbench
-# workload.
+# race-free, not merely passing — and finally per-request evaluate
+# allocation ceilings (serve_hot, table1_scan) and a short
+# oracle-checked run of every perfbench workload.
 #
 # Usage: scripts/check.sh [BUILD_DIR] [TSAN_BUILD_DIR]
 #        (defaults: build-asan, build-tsan)
@@ -127,6 +127,18 @@ evaluate_bytes=$(python3 perfbench/run.py --workload serve_hot --seed 1 \
 print(json.load(sys.stdin)["metrics"]["common.evaluate_alloc_bytes_per_req"]["value"])')
 echo "common.evaluate_alloc_bytes_per_req = $evaluate_bytes (ceiling 408)"
 awk -v bytes="$evaluate_bytes" 'BEGIN { exit !(bytes <= 408) }'
+
+# The same gate where filters are decided by semi-joins over the path
+# summary: a 1-second traced table1_scan run. The ceiling is 1.5x the
+# 216.9 B/request measured before semi-joins existed (seed 1, two runs,
+# identical to 0.1 B), the margin of the serve_hot gate above. The
+# semi-join's sets come from the scratch pool, so steady state adds
+# nothing to it.
+evaluate_bytes=$(python3 perfbench/run.py --workload table1_scan --seed 1 \
+  --seconds 1 --trace 1 | tail -n 1 | python3 -c 'import json, sys
+print(json.load(sys.stdin)["metrics"]["common.evaluate_alloc_bytes_per_req"]["value"])')
+echo "table1_scan common.evaluate_alloc_bytes_per_req = $evaluate_bytes (ceiling 325)"
+awk -v bytes="$evaluate_bytes" 'BEGIN { exit !(bytes <= 325) }'
 
 echo "== perfbench oracle gate =="
 for workload in serve_hot table1_scan prepare_cold recursive_height; do

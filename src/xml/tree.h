@@ -34,7 +34,9 @@ class XmlTree;
 /// array. Because a child of an element in class c is in a class whose
 /// parent is c, "the children labeled l of every element of c" is
 /// exactly the extent of c's l-child: the compiled-plan VM answers such
-/// a step with a copy instead of a walk. Built by XmlTree::Summary().
+/// a step with a copy instead of a walk, and decides a filter over
+/// elements of one class by reading the extents that its qualifier's
+/// paths reach from that class. Built by XmlTree::Summary().
 class PathSummary {
  public:
   /// Class of node `n`; -1 for text nodes.
@@ -45,6 +47,13 @@ class PathSummary {
   /// The class of the elements labeled `label_id` under class `cls`, or
   /// -1 if no element of `cls` has such a child.
   int32_t ChildClass(int32_t cls, int label_id) const;
+
+  /// Every class of the element children of class `cls` (one per label),
+  /// the classes a `*` step reaches from `cls`.
+  std::span<const int32_t> ChildClasses(int32_t cls) const {
+    return {child_class_.data() + child_begin_[cls],
+            child_class_.data() + child_begin_[cls + 1]};
+  }
 
   /// The elements of class `cls`, in document order.
   std::span<const NodeId> Extent(int32_t cls) const {
@@ -134,6 +143,8 @@ class XmlTree {
   std::string_view text(NodeId n) const;
 
   NodeId parent(NodeId n) const { return nodes_[n].parent; }
+  /// Depth of `n` below the root (the root is 0).
+  int depth(NodeId n) const { return static_cast<int>(nodes_[n].depth); }
   NodeId first_child(NodeId n) const { return nodes_[n].first_child; }
   NodeId next_sibling(NodeId n) const { return nodes_[n].next_sibling; }
 

@@ -76,15 +76,19 @@ class XPathEvaluator {
   /// contains unbound $parameters.
   Result<NodeSet> Evaluate(const PathPtr& p, NodeId context);
 
-  /// Same, at a set of context nodes (must be sorted, duplicate free).
+  /// Same, at a set of context nodes (in any order; duplicates count
+  /// once).
   Result<NodeSet> Evaluate(const PathPtr& p, const NodeSet& context);
 
   /// Executes a compiled plan over pooled NodeSet buffers from
   /// `scratch`. `bindings` resolve the plan's $parameter constants per
   /// call through BindPlanConsts, first match wins (the plan itself
-  /// stays unbound, so cached plans serve every binding set). `scratch` defaults to the calling
-  /// thread's EvalScratch::ThreadLocal(). Fails with FailedPrecondition
-  /// when a $parameter is unbound, and when the plan was compiled with
+  /// stays unbound, so cached plans serve every binding set). `scratch`
+  /// defaults to the calling thread's EvalScratch::ThreadLocal(). A
+  /// context that is not sorted and duplicate-free is sorted and
+  /// deduplicated on entry, so the answer is the union of the answers at
+  /// its nodes. Fails with FailedPrecondition when a $parameter is
+  /// unbound, and when the plan was compiled with
   /// PlanCompileOptions::use_index but no LabelIndex is attached.
   Result<NodeSet> EvaluateCompiled(
       const CompiledPlan& plan, NodeId context,
@@ -145,6 +149,31 @@ class XPathEvaluator {
   /// Dispatcher/body split, same shape as RunOp/RunOpStep.
   bool RunQual(int32_t q, NodeId node);
   bool RunQualStep(int32_t q, NodeId node);
+
+  /// out = the `candidates` at which qualifier `q` holds, decided by one
+  /// semi-join over the path summary when that pays (see vm.cc), else
+  /// by RunQual at each candidate.
+  void Filter(int32_t q, const NodeSet& candidates, NodeSet& out);
+  /// True iff every path leaf of `q` reaches its classes from class
+  /// `cls` through child tables alone (see ReachClasses) and `q` has no
+  /// attribute test. Adds the leaves' reached extent sizes to `*reached`
+  /// and their number to `*leaves`.
+  bool SemiJoinDecides(int32_t q, int32_t cls, uint64_t* reached,
+                       uint64_t* leaves);
+  /// to = the summary classes path op `op` reaches from the classes in
+  /// `from` (class ids, sorted), through child label, `*`, `∪`, `.` and
+  /// `∅` steps; false when the path has any other step.
+  bool ReachClasses(int32_t op, const NodeSet& from, NodeSet& to);
+  /// out = the nodes of `candidates` (all of class `cls`) at which `q`
+  /// holds, as sets: the profiler counts one invocation of `q`.
+  void SemiJoin(int32_t q, int32_t cls, const NodeSet& candidates,
+                NodeSet& out);
+  void SemiJoinStep(int32_t q, int32_t cls, const NodeSet& candidates,
+                    NodeSet& out);
+  /// out = the `candidates` that are depth-`depth` ancestors of an
+  /// element of class `reached` (whose text equals `*want`, if set).
+  void JoinExtent(int32_t reached, int depth, const NodeSet& candidates,
+                  const std::string* want, NodeSet& out);
 
   static void SortUnique(NodeSet& set);
 

@@ -95,7 +95,8 @@ class PlanProfiler {
 
   /// Adds one invocation of the step at `at` that started at `mark` and
   /// ended at `counters`, with context size `in` and result size `out`
-  /// (a qualifier: 1, and 1 if it held).
+  /// (a qualifier run at one node: 1, and 1 if it held; one decided over
+  /// a set by a semi-join: the candidates, and those it held at).
   void Add(Position at, const Mark& mark, const EvalCounters& counters,
            size_t in, size_t out);
 

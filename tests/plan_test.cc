@@ -122,6 +122,18 @@ XmlTree MakeDeepChain(int depth) {
   return tree;
 }
 
+/// A root <r> with `width` children <a>, each with one child <b>: one
+/// class per label, so a[b] copies the a extent and semi-joins over the
+/// b extent, `width` visits each.
+XmlTree MakeWide(int width) {
+  XmlTree tree;
+  const NodeId root = tree.CreateRoot("r");
+  for (int i = 0; i < width; ++i) {
+    tree.AppendElement(tree.AppendElement(root, "a"), "b");
+  }
+  return tree;
+}
+
 /// What one evaluation answered.
 struct Answer {
   Status status = Status::OK();
@@ -225,6 +237,36 @@ TEST(PlanDifferentialTest, NodeBudgetsRefuseOrMatchReference) {
   }
   EXPECT_GT(refused, 0);
   EXPECT_GT(answered, 0);
+
+  // On a wide document, a[b and not(c)] copies the 5000-entry a extent
+  // and then semi-joins over the 5000-entry b extent, so a budget between
+  // the two trips inside the semi-join's extent scan. The whole query is
+  // refused all the same; a larger budget answers exactly.
+  XmlTree wide = MakeWide(5000);
+  PathPtr p = MustParsePath("a[b and not(c)]");
+  auto plan = CompilePlan(p);
+  ASSERT_NE(plan, nullptr);
+  const Answer reference = RunReference(wide, p, {});
+  ASSERT_TRUE(reference.status.ok()) << reference.status;
+  ASSERT_EQ(reference.nodes.size(), 5000u);
+  for (uint64_t max_nodes : {6000ull, 8000ull, 100000ull}) {
+    const std::string context = "wide max_nodes=" + std::to_string(max_nodes);
+    BudgetLimits limits;
+    limits.max_nodes = max_nodes;
+    QueryBudget budget(limits, CancelToken());
+    XPathEvaluator evaluator(wide);
+    evaluator.set_budget(&budget);
+    auto vm = evaluator.EvaluateCompiled(*plan, wide.root());
+    if (max_nodes >= 10000) {
+      ASSERT_TRUE(vm.ok()) << context << ": " << vm.status();
+      EXPECT_EQ(*vm, reference.nodes) << context;
+      continue;
+    }
+    EXPECT_EQ(vm.status().code(), StatusCode::kResourceExhausted)
+        << context << ": " << vm.status();
+    EXPECT_GT(evaluator.counters().nodes_touched, 5000u) << context;
+    EXPECT_LT(evaluator.counters().nodes_touched, 10000u) << context;
+  }
 }
 
 TEST(PlanDifferentialTest, CancelledExecutionsMatch) {
@@ -419,6 +461,136 @@ TEST(PlanDifferentialTest, DuplicatedOrUnsortedContextOfEqualCount) {
       EXPECT_EQ(*vm, ReferenceUnion(doc, p, context))
           << text << " from {" << context[0] << ", " << context[1] << "}";
     }
+  }
+}
+
+TEST(PlanDifferentialTest, ContextIsSortedAndDeduplicatedOnEntry) {
+  // `.` answers its context as a set. A descendant step from an unsorted
+  // context whose first node lies inside its second still reaches the
+  // whole subtree of the second.
+  XmlTree doc = MustParseDoc(kHostileDoc);
+  auto depts = EvaluateAtRoot(doc, MustParsePath("dept"));
+  auto carol = EvaluateAtRoot(
+      doc, MustParsePath("dept/clinicalTrial/patientInfo/patient"));
+  ASSERT_TRUE(depts.ok() && carol.ok());
+  ASSERT_EQ(depts->size(), 2u);
+  ASSERT_EQ(carol->size(), 1u);
+  const NodeId d1 = (*depts)[0];
+  const NodeId d2 = (*depts)[1];
+  const NodeId c = (*carol)[0];
+  auto self = CompilePlan(MustParsePath("."));
+  ASSERT_NE(self, nullptr);
+  XPathEvaluator evaluator(doc);
+  auto dup = evaluator.EvaluateCompiled(*self, NodeSet{d1, d1});
+  ASSERT_TRUE(dup.ok()) << dup.status();
+  EXPECT_EQ(*dup, NodeSet{d1});
+  auto swapped = evaluator.EvaluateCompiled(*self, NodeSet{d2, d1});
+  ASSERT_TRUE(swapped.ok()) << swapped.status();
+  EXPECT_EQ(*swapped, (NodeSet{d1, d2}));
+  for (const NodeSet& context : {NodeSet{c, d1}, NodeSet{c, d1, c}}) {
+    for (const std::string& text :
+         {std::string("//bill"), std::string("//patient[wardNo = \"4\"]")}) {
+      PathPtr p = MustParsePath(text);
+      auto plan = CompilePlan(p);
+      ASSERT_NE(plan, nullptr) << text;
+      auto vm = evaluator.EvaluateCompiled(*plan, context);
+      ASSERT_TRUE(vm.ok()) << text << ": " << vm.status();
+      EXPECT_EQ(*vm, ReferenceUnion(doc, p, context)) << text;
+    }
+  }
+}
+
+/// Runs `text` from the root on the VM under a profiler, checks its
+/// answer against the reference walk and its profile against the
+/// aggregate counters, and returns its qualifier evaluations.
+uint64_t PredicateEvalsMatchingReference(const XmlTree& doc,
+                                         const std::string& text,
+                                         const Bindings& bindings) {
+  PathPtr p = MustParsePath(text);
+  auto plan = CompilePlan(p);
+  EXPECT_NE(plan, nullptr) << text;
+  if (plan == nullptr) return 0;
+  XPathEvaluator evaluator(doc);
+  PlanProfiler profiler;
+  evaluator.set_profiler(&profiler);
+  auto vm = evaluator.EvaluateCompiled(*plan, doc.root(), bindings);
+  EXPECT_TRUE(vm.ok()) << text << ": " << vm.status();
+  if (!vm.ok()) return 0;
+  EXPECT_EQ(*vm, RunReference(doc, p, bindings).nodes) << text;
+  const EvalCounters totals = ProfileTotals(profiler.root());
+  EXPECT_EQ(totals.nodes_touched, evaluator.counters().nodes_touched) << text;
+  EXPECT_EQ(totals.predicate_evals, evaluator.counters().predicate_evals)
+      << text;
+  return evaluator.counters().predicate_evals;
+}
+
+TEST(PlanDifferentialTest, FiltersOverOneClassAreSemiJoined) {
+  // Each filter's candidates lie in one summary class, and its qualifier
+  // is built from child, '*', '|', '.' and empty paths. The VM decides
+  // it once over the set: at most one evaluation per qualifier step,
+  // never one per candidate.
+  XmlTree doc = MustParseDoc(kHostileDoc);
+  for (const std::string& text : {
+           // Paths that reach no class.
+           std::string("dept[nosuch]"),
+           std::string("dept[not(nosuch)]/staffInfo"),
+           std::string("dept[not(nosuch/name = \"x\")]"),
+           std::string("dept[patientInfo/.[false()]]"),
+           // and, or, not.
+           std::string("dept/patientInfo/patient[wardNo = \"3\" and name]"),
+           std::string("dept/patientInfo/patient[name = \"dave\" or "
+                       "treatment/regular/medication]"),
+           std::string("dept/patientInfo/patient[not(wardNo = \"3\")]/name"),
+           std::string("dept[not(patientInfo)] | dept[not(*/patient)]/*"),
+           std::string("dept[not(clinicalTrial) or staffInfo and "
+                       "not(patientInfo/patient/wardNo = \"3\")]"),
+           // = 'c' and = $x.
+           std::string("dept[patientInfo/patient/wardNo = \"3\"]"),
+           std::string("dept[*/patient/wardNo = $w]//bill"),
+           std::string("dept/patientInfo/patient[treatment/regular/bill = "
+                       "$w or name = \"erin\"]"),
+           // '*', '|' and '.' inside the path.
+           std::string("dept[*/*/name = \"carol\"]"),
+           std::string("dept[(clinicalTrial | staffInfo)/*]"),
+           std::string("dept[patientInfo/patient/(name | wardNo) = \"erin\"]"),
+           std::string("dept/patientInfo/patient[./treatment/./regular/bill = "
+                       "\"55\"]"),
+           std::string("dept[. and true()]"),
+           std::string("dept[*/patient/treatment/* | staffInfo/staff]"),
+           // Candidates that are part of their class's extent.
+           std::string("dept[@id = \"2\"]/patientInfo/patient[wardNo = \"3\"]"),
+           std::string("dept[@id = \"1\"]/patientInfo/patient[wardNo = \"3\"]"),
+       }) {
+    // An attribute filter on the main path walks each of the two depts,
+    // one evaluation each.
+    const bool attr_filter = text.find('@') != std::string::npos;
+    const uint64_t evals =
+        PredicateEvalsMatchingReference(doc, text, {{"w", "3"}});
+    auto plan = CompilePlan(MustParsePath(text));
+    ASSERT_NE(plan, nullptr);
+    EXPECT_LE(evals, plan->quals.size() + (attr_filter ? 2 : 0)) << text;
+  }
+}
+
+TEST(PlanDifferentialTest, OtherFiltersWalkEachCandidate) {
+  // Candidates in several classes, '//' or a nested qualifier inside the
+  // path, and attribute tests: the VM runs the qualifier once per
+  // candidate, as before.
+  XmlTree doc = MustParseDoc(kHostileDoc);
+  for (const std::string& text : {
+           std::string("//patient[wardNo = \"3\"]"),
+           std::string("(dept | dept/patientInfo)[*]"),
+           std::string("dept[.//bill = \"55\"]"),
+           std::string("dept[*//wardNo]"),
+           std::string("dept[patientInfo/patient[wardNo = $w]]"),
+           std::string("dept[@id = \"2\"]"),
+           std::string("dept[@id and patientInfo]"),
+       }) {
+    const uint64_t evals =
+        PredicateEvalsMatchingReference(doc, text, {{"w", "3"}});
+    auto plan = CompilePlan(MustParsePath(text));
+    ASSERT_NE(plan, nullptr);
+    EXPECT_GT(evals, plan->quals.size()) << text;
   }
 }
 
