@@ -41,7 +41,7 @@ void RunQuery(benchmark::State& state, const char* text) {
     auto result = evaluator.EvaluateCompiled(*plan, doc.root());
     if (!result.ok()) state.SkipWithError("evaluation failed");
     benchmark::DoNotOptimize(result);
-    work = evaluator.work();
+    work = evaluator.counters().nodes_touched;
   }
   state.counters["nodes_touched"] = static_cast<double>(work);
   state.counters["doc_nodes"] = static_cast<double>(doc.node_count());

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/budget.h"
-#include "xml/label_index.h"
 #include "xml/parser.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
@@ -16,12 +15,12 @@
 
 /// Differential fuzzer for the compiled-plan VM (xpath/vm.cc): every
 /// query the parser accepts is lowered with CompilePlan and executed on
-/// the VM over a fixed hospital document — plain, with a label index,
-/// and under a node budget small enough to trip mid-query — and
-/// compared with the reference walk (EvaluateAtRoot), which shares no
-/// code with the VM. Any difference in status code or result NodeSet
-/// traps; the budgeted run may instead refuse the query with
-/// ResourceExhausted, but never return a partial set. A query s/rest
+/// the VM over a fixed hospital document — plain and under a node
+/// budget small enough to trip mid-query — and compared with the
+/// reference walk (EvaluateAtRoot), which shares no code with the VM.
+/// Any difference in status code or result NodeSet traps; the budgeted
+/// run may instead refuse the query with ResourceExhausted, but never
+/// return a partial set. A query s/rest
 /// also runs `rest` from a caller-supplied context, the reference answer
 /// of its first step s: as given when it has two or more nodes, and with
 /// every node duplicated, so that {a, a} meets a path-summary extent
@@ -83,12 +82,9 @@ Answer RunReference(const secview::XmlTree& doc, const secview::PathPtr& p) {
   return answer;
 }
 
-Answer RunVm(const secview::XmlTree& doc, const secview::LabelIndex* index,
-             const secview::CompiledPlan& plan,
+Answer RunVm(const secview::XmlTree& doc, const secview::CompiledPlan& plan,
              const secview::BudgetLimits& limits) {
-  secview::XPathEvaluator evaluator = index != nullptr
-                                          ? secview::XPathEvaluator(doc, index)
-                                          : secview::XPathEvaluator(doc);
+  secview::XPathEvaluator evaluator(doc);
   secview::QueryBudget budget(limits, secview::CancelToken());
   if (budget.active()) evaluator.set_budget(&budget);
   auto result = evaluator.EvaluateCompiled(plan, doc.root(), Bindings());
@@ -144,7 +140,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     if (!parsed.ok()) __builtin_trap();
     return new secview::XmlTree(std::move(parsed).value());
   }();
-  static const secview::LabelIndex* index = new secview::LabelIndex(*doc);
 
   std::string_view input(reinterpret_cast<const char*>(data), size);
   secview::XPathParseLimits limits;
@@ -156,22 +151,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   auto plan = secview::CompilePlan(p);
   if (plan == nullptr) __builtin_trap();  // parser accepted, compiler must too
-  secview::PlanCompileOptions indexed_options;
-  indexed_options.use_index = true;
-  auto indexed_plan = secview::CompilePlan(p, indexed_options);
-  if (indexed_plan == nullptr) __builtin_trap();
 
   const Answer reference = RunReference(*doc, p);
   secview::BudgetLimits unlimited;
-  CheckSame(reference, RunVm(*doc, nullptr, *plan, unlimited));
-  // The reference has no index: the indexed plan must match it too.
-  CheckSame(reference, RunVm(*doc, index, *indexed_plan, unlimited));
+  CheckSame(reference, RunVm(*doc, *plan, unlimited));
 
   // A budget small enough that hostile closures trip mid-evaluation:
   // the VM refuses the whole query or returns exactly the reference.
   secview::BudgetLimits tight;
   tight.max_nodes = 64;
-  const Answer budgeted = RunVm(*doc, nullptr, *plan, tight);
+  const Answer budgeted = RunVm(*doc, *plan, tight);
   if (budgeted.status.code() == secview::StatusCode::kResourceExhausted) {
     if (!budgeted.nodes.empty()) __builtin_trap();
   } else {

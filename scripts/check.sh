@@ -42,7 +42,7 @@ scripts/telemetry_smoke.sh "$BUILD_DIR"
 scripts/trace_smoke.sh "$BUILD_DIR"
 
 # Plan-profiling smoke: query --profile step tables, the /profilez
-# rollup under serve --profile, a secview.profile.v1 JSONL round-trip
+# rollup under serve --profile, a secview.profile.v2 JSONL round-trip
 # through profile-top, and an off-mode throughput sanity A/B. Export
 # SECVIEW_BASELINE_BIN=<pre-profiler secview> for a strict 2% gate.
 scripts/profile_smoke.sh "$BUILD_DIR"
@@ -75,8 +75,9 @@ echo "== alloc tracker under ASan =="
 # of ctest above; rerun it alone under ASan so an answer that differs
 # between the VM and the reference walk is called out by name, then
 # replay the XPath seed corpus through the differential fuzzer (every
-# accepted query runs on the VM plain, indexed, and under a tight node
-# budget, and is compared with the reference walk's answer).
+# accepted query runs on the VM plain, under a tight node budget and
+# from caller-supplied contexts, and is compared with the reference
+# walk's answer).
 echo "== compiled-plan differential harness under ASan =="
 "$BUILD_DIR"/tests/plan_test
 

@@ -2,7 +2,7 @@
 # End-to-end smoke test of plan profiling: `query --profile` prints a
 # per-step table whose JSONL export validates and round-trips through
 # `profile-top`; `serve --profile` exposes the lock-striped rollup on
-# /profilez (text and secview.profile.v1 JSON); and an off-mode A/B run
+# /profilez (text and secview.profile.v2 JSON); and an off-mode A/B run
 # of bench-serve checks that a binary with the profiler compiled in but
 # switched off does not lose throughput.
 #
@@ -101,7 +101,7 @@ grep -q 'plan profile (exclusive per-step costs' "$WORK/query.out" || {
   cat "$WORK/query.out" >&2; exit 1; }
 grep -q 'hot step: .* nodes=' "$WORK/query.out" || {
   echo "profile_smoke: query --profile missing hot-step line" >&2; exit 1; }
-grep -q 'secview.profile.v1' "$WORK/profile.jsonl" || {
+grep -q 'secview.profile.v2' "$WORK/profile.jsonl" || {
   echo "profile_smoke: JSONL missing schema tag" >&2; exit 1; }
 
 echo "== profile-top round-trip =="
@@ -152,7 +152,7 @@ echo "$PROFILEZ" | grep -q 'child::' || {
 echo "== /profilez?format=json =="
 "$SECVIEW" scrape --port "$PORT" --path '/profilez?format=json' \
   > "$WORK/profilez.json"
-grep -q '"schema": "secview.profile.v1"' "$WORK/profilez.json" || {
+grep -q '"schema": "secview.profile.v2"' "$WORK/profilez.json" || {
   echo "profile_smoke: /profilez JSON missing schema tag" >&2; exit 1; }
 grep -q '"steps"' "$WORK/profilez.json" || {
   echo "profile_smoke: /profilez JSON missing steps array" >&2; exit 1; }

@@ -192,7 +192,7 @@ Plan profiling (docs/observability.md): `query --profile` appends an
 EXPLAIN ANALYZE-style per-step cost table to the output — every plan
 step's invocations, in/out cardinality, exclusive node touches and
 predicate evaluations, and self/total wall time — and `query
---profile-json FILE` writes the same tree as one secview.profile.v1
+--profile-json FILE` writes the same tree as one secview.profile.v2
 JSONL line ('-' for stdout). `serve --profile` and `bench-serve
 --profile` keep a cross-query rollup of the hottest steps, served live
 at /profilez (text; ?k=N bounds the rows) and /profilez?format=json;

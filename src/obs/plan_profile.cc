@@ -31,7 +31,6 @@ void PlanProfileTable::Record(const std::vector<PlanStepRecord>& steps) {
     rec.out_cardinality += step.out_cardinality;
     rec.nodes_touched += step.nodes_touched;
     rec.predicate_evals += step.predicate_evals;
-    rec.index_scans += step.index_scans;
     rec.sort_skips += step.sort_skips;
     rec.self_nanos += step.self_nanos;
     rec.total_nanos += step.total_nanos;
@@ -92,11 +91,10 @@ std::string RenderPlanProfileText(const std::vector<PlanStepRecord>& rows,
     std::snprintf(buf, sizeof(buf),
                   "%s axis=%s queries=%" PRIu64 " inv=%" PRIu64 " in=%" PRIu64
                   " out=%" PRIu64 " nodes=%" PRIu64 " preds=%" PRIu64
-                  " iscans=%" PRIu64 " skips=%" PRIu64
-                  " self_us=%.1f total_us=%.1f\n",
+                  " skips=%" PRIu64 " self_us=%.1f total_us=%.1f\n",
                   name.c_str(), row.axis.c_str(), row.queries, row.invocations,
                   row.in_cardinality, row.out_cardinality, row.nodes_touched,
-                  row.predicate_evals, row.index_scans, row.sort_skips,
+                  row.predicate_evals, row.sort_skips,
                   static_cast<double>(row.self_nanos) / 1e3,
                   static_cast<double>(row.total_nanos) / 1e3);
     out += buf;
@@ -107,7 +105,7 @@ std::string RenderPlanProfileText(const std::vector<PlanStepRecord>& rows,
 Json PlanProfileJson(const std::vector<PlanStepRecord>& rows,
                      uint64_t queries) {
   Json doc = Json::Object();
-  doc.Set("schema", Json("secview.profile.v1"));
+  doc.Set("schema", Json(kProfileSchema));
   doc.Set("kind", Json("table"));
   doc.Set("queries", Json(queries));
   Json steps = Json::Array();
@@ -121,7 +119,6 @@ Json PlanProfileJson(const std::vector<PlanStepRecord>& rows,
     j.Set("out", Json(row.out_cardinality));
     j.Set("nodes", Json(row.nodes_touched));
     j.Set("preds", Json(row.predicate_evals));
-    j.Set("index_scans", Json(row.index_scans));
     j.Set("sort_skips", Json(row.sort_skips));
     j.Set("self_nanos", Json(row.self_nanos));
     j.Set("total_nanos", Json(row.total_nanos));
@@ -157,9 +154,8 @@ Status RequireNumber(const Json& obj, std::string_view key) {
 }
 
 constexpr const char* kStepNumberFields[] = {
-    "invocations", "in",         "out",         "nodes",
-    "preds",       "index_scans", "sort_skips", "self_nanos",
-    "total_nanos", "alloc_bytes", "alloc_count"};
+    "invocations", "in",         "out",         "nodes",      "preds",
+    "sort_skips",  "self_nanos", "total_nanos", "alloc_bytes", "alloc_count"};
 
 /// Validates one plan-step object and adds its exclusive nodes to
 /// `*nodes_sum` (recursively, children included).
@@ -192,9 +188,10 @@ Status ValidateProfileLine(std::string_view line) {
   }
   const Json* schema = doc.Find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      schema->AsString() != "secview.profile.v1") {
+      schema->AsString() != kProfileSchema) {
     return Status::InvalidArgument(
-        "missing or wrong \"schema\" (want secview.profile.v1)");
+        std::string("missing or wrong \"schema\" (want ") + kProfileSchema +
+        ")");
   }
   SECVIEW_RETURN_IF_ERROR(RequireString(doc, "policy"));
   SECVIEW_RETURN_IF_ERROR(RequireString(doc, "query"));
@@ -205,7 +202,7 @@ Status ValidateProfileLine(std::string_view line) {
     return Status::InvalidArgument("missing or non-object \"counters\"");
   }
   for (const char* field :
-       {"nodes_touched", "predicate_evals", "index_scans", "sort_skips"}) {
+       {"nodes_touched", "predicate_evals", "sort_skips"}) {
     SECVIEW_RETURN_IF_ERROR(RequireNumber(*counters, field));
   }
   const Json* plan = doc.Find("plan");
@@ -285,7 +282,6 @@ Status FlattenStepJson(const Json& step, std::vector<PlanStepRecord>* out) {
   rec->out_cardinality += NumberField(step, "out");
   rec->nodes_touched += NumberField(step, "nodes");
   rec->predicate_evals += NumberField(step, "preds");
-  rec->index_scans += NumberField(step, "index_scans");
   rec->sort_skips += NumberField(step, "sort_skips");
   rec->self_nanos += NumberField(step, "self_nanos");
   rec->total_nanos += NumberField(step, "total_nanos");

@@ -15,6 +15,11 @@
 
 namespace secview::obs {
 
+/// The "schema" tag of every plan-profile JSON document: the per-query
+/// JSONL line (ProfileLineJson) and the /profilez table
+/// (PlanProfileJson). ValidateProfileLine accepts only this tag.
+inline constexpr char kProfileSchema[] = "secview.profile.v2";
+
 /// Flattened costs of one canonical plan step ("child::patient",
 /// "descendant::*", "pred::eq", ...). The xpath profiler produces these
 /// from its StepProfile tree (exclusive/self costs, so rows are additive
@@ -31,7 +36,6 @@ struct PlanStepRecord {
   uint64_t out_cardinality = 0;
   uint64_t nodes_touched = 0;
   uint64_t predicate_evals = 0;
-  uint64_t index_scans = 0;
   uint64_t sort_skips = 0;
   uint64_t self_nanos = 0;
   uint64_t total_nanos = 0;
@@ -88,17 +92,17 @@ class PlanProfileTable {
 
 /// The /profilez text page: "N step(s) across Q profiled query(s)"
 /// header plus a top-`top_k` table (signature, axis, queries,
-/// invocations, in/out cardinality, nodes, predicates, index scans,
+/// invocations, in/out cardinality, nodes, predicates, sort skips,
 /// self/total time). `rows` must be pre-sorted (Snapshot order).
 std::string RenderPlanProfileText(const std::vector<PlanStepRecord>& rows,
                                   size_t top_k, uint64_t queries);
 
-/// The /profilez?format=json document: {"schema":"secview.profile.v1",
+/// The /profilez?format=json document: {"schema":kProfileSchema,
 /// "queries":Q,"steps":[{...}, ...]} with one object per record.
 Json PlanProfileJson(const std::vector<PlanStepRecord>& rows,
                      uint64_t queries);
 
-/// Validates one secview.profile.v1 JSONL line (the per-query form the
+/// Validates one kProfileSchema JSONL line (the per-query form the
 /// CLI --profile-json emits): parseable JSON object, correct "schema"
 /// tag, policy/query/hot_step strings, unix_micros number, counters
 /// object, and a recursively well-formed "plan" tree whose exclusive
@@ -106,7 +110,7 @@ Json PlanProfileJson(const std::vector<PlanStepRecord>& rows,
 /// violation.
 Status ValidateProfileLine(std::string_view line);
 
-/// Parses a secview.profile.v1 JSONL document (one profile per line,
+/// Parses a kProfileSchema JSONL document (one profile per line,
 /// blank lines ignored), validating every line; the error names the
 /// offending line number.
 Result<std::vector<Json>> ParseProfileJsonl(std::string_view text);

@@ -18,7 +18,6 @@ namespace secview {
 /// duplicates.
 using NodeSet = std::vector<NodeId>;
 
-class LabelIndex;
 class PlanProfiler;
 struct CompiledPlan;
 class EvalScratch;
@@ -29,7 +28,6 @@ class EvalScratch;
 struct EvalCounters {
   uint64_t nodes_touched = 0;    ///< tree nodes inspected
   uint64_t predicate_evals = 0;  ///< qualifier evaluations at a node
-  uint64_t index_scans = 0;      ///< '//label' steps answered by the index
   uint64_t sort_skips = 0;       ///< child steps that skipped SortUnique
   uint64_t budget_checks = 0;    ///< strided QueryBudget charge points
 };
@@ -40,7 +38,6 @@ struct EvalCounters {
 struct EvalMetrics {
   obs::Counter* nodes_touched = nullptr;     ///< eval.nodes_touched
   obs::Counter* predicate_evals = nullptr;   ///< eval.predicate_evals
-  obs::Counter* index_scans = nullptr;       ///< eval.index_scans
   obs::Counter* sort_skips = nullptr;        ///< eval.sort_skips
   obs::Counter* budget_checks = nullptr;     ///< xpath.budget_checks
   obs::Counter* compiled_queries = nullptr;  ///< eval.compiled_queries
@@ -57,21 +54,14 @@ struct EvalMetrics {
 /// PCDATA only occurs under str-typed elements.
 ///
 /// The VM is the only evaluator that counts (EvalCounters, eval.*
-/// metrics), charges a QueryBudget, feeds a PlanProfiler and uses a
-/// LabelIndex. The reference walk at the end of this header answers the
-/// same queries with none of that, for tests and oracles.
+/// metrics), charges a QueryBudget, feeds a PlanProfiler and reads the
+/// tree's PathSummary. The reference walk at the end of this header
+/// answers the same queries with none of that, for tests and oracles.
 class XPathEvaluator {
  public:
   explicit XPathEvaluator(const XmlTree& tree) : tree_(&tree) {}
 
-  /// With a label index attached, '//label' steps are answered from the
-  /// index in O(log N + matches) instead of scanning subtrees (the index
-  /// must be built over the same tree).
-  XPathEvaluator(const XmlTree& tree, const LabelIndex* index)
-      : tree_(&tree), index_(index) {}
-
-  /// Compiles `p` (with PlanCompileOptions::use_index iff an index is
-  /// attached) and runs the plan at a single context node. Fails with
+  /// Compiles `p` and runs the plan at a single context node. Fails with
   /// InvalidArgument on a null query and FailedPrecondition if `p` still
   /// contains unbound $parameters.
   Result<NodeSet> Evaluate(const PathPtr& p, NodeId context);
@@ -88,8 +78,7 @@ class XPathEvaluator {
   /// context that is not sorted and duplicate-free is sorted and
   /// deduplicated on entry, so the answer is the union of the answers at
   /// its nodes. Fails with FailedPrecondition when a $parameter is
-  /// unbound, and when the plan was compiled with
-  /// PlanCompileOptions::use_index but no LabelIndex is attached.
+  /// unbound.
   Result<NodeSet> EvaluateCompiled(
       const CompiledPlan& plan, NodeId context,
       const std::vector<std::pair<std::string, std::string>>& bindings = {},
@@ -130,10 +119,6 @@ class XPathEvaluator {
 
   /// Costs accumulated since construction or ResetWork().
   const EvalCounters& counters() const { return counters_; }
-
-  /// Nodes touched since construction or ResetWork() (backward-compatible
-  /// alias for counters().nodes_touched).
-  uint64_t work() const { return counters_.nodes_touched; }
   void ResetWork() { counters_ = {}; }
 
  private:
@@ -145,7 +130,6 @@ class XPathEvaluator {
   void RunLabel(int label_id, const NodeSet& ctx, NodeSet& out);
   void RunWildcard(const NodeSet& ctx, NodeSet& out);
   void RunDescOrSelf(const NodeSet& ctx, NodeSet& out);
-  void RunDescLabelIndexed(int label_id, const NodeSet& ctx, NodeSet& out);
   /// Dispatcher/body split, same shape as RunOp/RunOpStep.
   bool RunQual(int32_t q, NodeId node);
   bool RunQualStep(int32_t q, NodeId node);
@@ -198,7 +182,6 @@ class XPathEvaluator {
   Status FinishBudget();
 
   const XmlTree* tree_;
-  const LabelIndex* index_ = nullptr;
   EvalCounters counters_;
   const EvalMetrics* metrics_ = nullptr;
   PlanProfiler* profiler_ = nullptr;
@@ -226,13 +209,14 @@ class XPathEvaluator {
 // Reference walk (xpath/evaluator.cc)
 //
 // A plain recursive walk of the AST that states the fragment's semantics
-// directly. It has no counters, budget, profiler, metrics or index, and
-// shares no code with the VM, so it serves as the independent answer
-// that the VM is differentially tested against (tests/plan_test.cc,
-// fuzz/fuzz_plan_diff.cc) and as the evaluator of the oracle paths:
-// MaterializeView, ComputeAccessibility (and with it the naive
-// baseline) and the materialize-then-evaluate check. Each entry point
-// fails with FailedPrecondition while its input has unbound $parameters.
+// directly. It has no counters, budget, profiler, metrics or path
+// summary, and shares no code with the VM, so it serves as the
+// independent answer that the VM is differentially tested against
+// (tests/plan_test.cc, fuzz/fuzz_plan_diff.cc) and as the evaluator of
+// the oracle paths: MaterializeView, ComputeAccessibility (and with it
+// the naive baseline) and the materialize-then-evaluate check. Each
+// entry point fails with FailedPrecondition while its input has unbound
+// $parameters.
 
 /// Evaluates `p` at the tree root. Fails on an empty document.
 Result<NodeSet> EvaluateAtRoot(const XmlTree& tree, const PathPtr& p);

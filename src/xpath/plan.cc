@@ -14,8 +14,6 @@ namespace {
 /// and the entry op is the last element.
 class PlanBuilder {
  public:
-  explicit PlanBuilder(bool use_index) : use_index_(use_index) {}
-
   int32_t CompilePath(const PathPtr& p) {
     CompiledPlan::Op op;
     switch (p->kind) {
@@ -37,29 +35,10 @@ class PlanBuilder {
         op.left = CompilePath(p->left);
         op.right = CompilePath(p->right);
         break;
-      case PathKind::kDescOrSelf: {
-        // With an index, '//label' and '//label[q]' become one
-        // index-scan op (the inner label — and for the qualified form
-        // the filter — get no ops, hence no profile rows, of their
-        // own).
-        if (use_index_) {
-          const PathPtr& step = p->left;
-          const PathPtr* label_part = &step;
-          if (step->kind == PathKind::kQualified) label_part = &step->left;
-          if ((*label_part)->kind == PathKind::kLabel) {
-            plan_.uses_index = true;
-            op.code = CompiledPlan::OpCode::kDescLabelIndexed;
-            op.label = InternLabel((*label_part)->label);
-            if (step->kind == PathKind::kQualified) {
-              op.qual = CompileQual(step->qualifier);
-            }
-            break;
-          }
-        }
+      case PathKind::kDescOrSelf:
         op.code = CompiledPlan::OpCode::kDescOrSelf;
         op.left = CompilePath(p->left);
         break;
-      }
       case PathKind::kUnion:
         op.code = CompiledPlan::OpCode::kUnion;
         op.left = CompilePath(p->left);
@@ -129,7 +108,6 @@ class PlanBuilder {
     return static_cast<int32_t>(plan_.attrs.size()) - 1;
   }
 
-  bool use_index_;
   CompiledPlan plan_;
   std::unordered_map<std::string, int32_t> label_ids_;
 };
@@ -154,10 +132,9 @@ size_t PlanBytes(const CompiledPlan& plan) {
 
 }  // namespace
 
-std::shared_ptr<const CompiledPlan> CompilePlan(
-    const PathPtr& p, const PlanCompileOptions& options) {
+std::shared_ptr<const CompiledPlan> CompilePlan(const PathPtr& p) {
   if (!p) return nullptr;
-  PlanBuilder builder(options.use_index);
+  PlanBuilder builder;
   int32_t root = builder.CompilePath(p);
   auto plan = std::make_shared<CompiledPlan>(builder.Take());
   plan->root = root;

@@ -40,31 +40,27 @@ namespace secview {
 /// AST in ShardedRewriteCache and share it, read-only, across all
 /// serving threads (docs/concurrency.md).
 struct CompiledPlan {
-  /// Path-step opcodes, one per PathKind,
-  /// plus kDescLabelIndexed: the pre-decided index-scan form of
-  /// '//label' / '//label[q]' emitted when the plan is compiled for a
-  /// LabelIndex (PlanCompileOptions::use_index). Bytecode op reference:
+  /// Path-step opcodes, one per PathKind. Bytecode op reference:
   /// docs/observability.md, "Plan compilation".
   enum class OpCode : uint8_t {
-    kEmptySet,          ///< push the empty set
-    kEpsilon,           ///< copy the context set
-    kLabel,             ///< child step by interned label
-    kWildcard,          ///< child step, any element
-    kSlash,             ///< compose: left then right
-    kDescOrSelf,        ///< descendant-or-self closure, then left
-    kDescLabelIndexed,  ///< '//label[q]?' answered from the label index
-    kUnion,             ///< left ∪ right (sorted merge)
-    kQualified,         ///< left filtered by qualifier program `qual`
+    kEmptySet,    ///< push the empty set
+    kEpsilon,     ///< copy the context set
+    kLabel,       ///< child step by interned label
+    kWildcard,    ///< child step, any element
+    kSlash,       ///< compose: left then right
+    kDescOrSelf,  ///< descendant-or-self closure, then left
+    kUnion,       ///< left ∪ right (sorted merge)
+    kQualified,   ///< left filtered by qualifier program `qual`
   };
 
   /// One flat path step. Children are `ops` indices (compiled before
   /// their parent, so every reference points backwards).
   struct Op {
     OpCode code;
-    int32_t label = -1;  ///< labels[] index (kLabel, kDescLabelIndexed)
+    int32_t label = -1;  ///< labels[] index (kLabel)
     int32_t left = -1;   ///< ops[] index (kSlash/kUnion lhs, unary operand)
     int32_t right = -1;  ///< ops[] index (kSlash/kUnion rhs)
-    int32_t qual = -1;   ///< quals[] index (kQualified, kDescLabelIndexed)
+    int32_t qual = -1;   ///< quals[] index (kQualified)
   };
 
   /// One flat qualifier step (the inlined sub-program of a filter op).
@@ -92,9 +88,6 @@ struct CompiledPlan {
   std::vector<std::string> labels;
   std::vector<Const> consts;
   std::vector<std::string> attrs;
-  /// True iff '//label' steps were lowered to kDescLabelIndexed; such a
-  /// plan requires an evaluator with a LabelIndex attached.
-  bool uses_index = false;
 
   /// Approximate resident footprint (tables + strings + this struct),
   /// cached at compile time; drives the engine.plan.cache_bytes gauge
@@ -103,19 +96,10 @@ struct CompiledPlan {
   size_t byte_size_ = 0;
 };
 
-struct PlanCompileOptions {
-  /// Lower '//label' (and '//label[q]') steps to index scans. The
-  /// resulting plan can only run on an evaluator with a LabelIndex
-  /// attached; the engine compiles with the default (false) because it
-  /// evaluates against arbitrary caller documents.
-  bool use_index = false;
-};
-
 /// Lowers `p` into a CompiledPlan. Returns nullptr for a null query.
 /// Deterministic and side-effect free; the plan copies what it needs
 /// and does not retain the AST.
-std::shared_ptr<const CompiledPlan> CompilePlan(
-    const PathPtr& p, const PlanCompileOptions& options = {});
+std::shared_ptr<const CompiledPlan> CompilePlan(const PathPtr& p);
 
 /// The one test of whether a plan's `$parameters` are all bound: false
 /// as soon as one has no binding. Appends each of `plan.consts`, in

@@ -38,8 +38,6 @@ std::string OpSignature(const CompiledPlan& plan, const CompiledPlan::Op& op) {
       if (inner->code == OpCode::kWildcard) return "descendant::*";
       return "descendant::(path)";
     }
-    case OpCode::kDescLabelIndexed:
-      return "descendant::" + plan.labels[op.label];
     case OpCode::kUnion:
       return "union";
     case OpCode::kQualified:
@@ -49,9 +47,9 @@ std::string OpSignature(const CompiledPlan& plan, const CompiledPlan::Op& op) {
 }
 
 /// Axis per OpCode, and signature per QualKind, in declaration order.
-constexpr const char* kOpAxes[] = {"empty",      "self",       "child",
-                                   "child",      "compose",    "descendant",
-                                   "descendant", "union",      "filter"};
+constexpr const char* kOpAxes[] = {
+    "empty", "self", "child", "child", "compose", "descendant", "union",
+    "filter"};
 constexpr const char* kQualSignatures[] = {
     "pred::path", "pred::eq",    "pred::and",     "pred::or",
     "pred::not",  "pred::true",  "pred::false",   "pred::attr-eq",
@@ -119,7 +117,6 @@ void PlanProfiler::Add(Position at, const Mark& mark,
   cell.nodes_touched += counters.nodes_touched - mark.counters.nodes_touched;
   cell.predicate_evals +=
       counters.predicate_evals - mark.counters.predicate_evals;
-  cell.index_scans += counters.index_scans - mark.counters.index_scans;
   cell.sort_skips += counters.sort_skips - mark.counters.sort_skips;
 }
 
@@ -150,7 +147,6 @@ std::unique_ptr<StepProfile> PlanProfiler::FoldStep(const CompiledPlan& plan,
     const StepCosts& nested = CellAt(child);
     step->nodes_touched -= nested.nodes_touched;
     step->predicate_evals -= nested.predicate_evals;
-    step->index_scans -= nested.index_scans;
     step->sort_skips -= nested.sort_skips;
     step->self_nanos -= std::min(step->self_nanos, nested.total_nanos);
     step->alloc_bytes -= std::min(step->alloc_bytes, nested.alloc_bytes);
@@ -171,7 +167,6 @@ namespace {
 void SumTotals(const StepProfile& step, EvalCounters* totals) {
   totals->nodes_touched += step.nodes_touched;
   totals->predicate_evals += step.predicate_evals;
-  totals->index_scans += step.index_scans;
   totals->sort_skips += step.sort_skips;
   for (const auto& child : step.children) SumTotals(*child, totals);
 }
@@ -214,11 +209,11 @@ void AppendStepRow(const StepProfile& step, int depth, std::string& out) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "%s inv=%" PRIu64 " in=%" PRIu64 " out=%" PRIu64
-                " nodes=%" PRIu64 " preds=%" PRIu64 " iscans=%" PRIu64
-                " skips=%" PRIu64 " self_us=%.1f total_us=%.1f",
+                " nodes=%" PRIu64 " preds=%" PRIu64 " skips=%" PRIu64
+                " self_us=%.1f total_us=%.1f",
                 name.c_str(), step.invocations, step.in_cardinality,
                 step.out_cardinality, step.nodes_touched, step.predicate_evals,
-                step.index_scans, step.sort_skips,
+                step.sort_skips,
                 static_cast<double>(step.self_nanos) / 1e3,
                 static_cast<double>(step.total_nanos) / 1e3);
   out += buf;
@@ -239,8 +234,7 @@ std::string StepProfileText(const StepProfile& root) {
   const EvalCounters totals = ProfileTotals(root);
   std::string out = "plan profile (exclusive per-step costs; totals: nodes=" +
                     std::to_string(totals.nodes_touched) +
-                    " preds=" + std::to_string(totals.predicate_evals) +
-                    " iscans=" + std::to_string(totals.index_scans) + ")\n";
+                    " preds=" + std::to_string(totals.predicate_evals) + ")\n";
   std::string hot = HotStepLine(root);
   if (!hot.empty()) out += "hot step: " + hot + "\n";
   for (const auto& child : root.children) {
@@ -258,7 +252,6 @@ obs::Json StepProfileJson(const StepProfile& step) {
   j.Set("out", obs::Json(step.out_cardinality));
   j.Set("nodes", obs::Json(step.nodes_touched));
   j.Set("preds", obs::Json(step.predicate_evals));
-  j.Set("index_scans", obs::Json(step.index_scans));
   j.Set("sort_skips", obs::Json(step.sort_skips));
   j.Set("self_nanos", obs::Json(step.self_nanos));
   j.Set("total_nanos", obs::Json(step.total_nanos));
@@ -276,7 +269,7 @@ obs::Json ProfileLineJson(const StepProfile& root, std::string_view policy,
                           std::string_view query, int64_t unix_micros) {
   const EvalCounters totals = ProfileTotals(root);
   obs::Json doc = obs::Json::Object();
-  doc.Set("schema", obs::Json("secview.profile.v1"));
+  doc.Set("schema", obs::Json(obs::kProfileSchema));
   doc.Set("unix_micros", obs::Json(static_cast<int64_t>(unix_micros)));
   doc.Set("policy", obs::Json(std::string(policy)));
   doc.Set("query", obs::Json(std::string(query)));
@@ -284,7 +277,6 @@ obs::Json ProfileLineJson(const StepProfile& root, std::string_view policy,
   obs::Json counters = obs::Json::Object();
   counters.Set("nodes_touched", obs::Json(totals.nodes_touched));
   counters.Set("predicate_evals", obs::Json(totals.predicate_evals));
-  counters.Set("index_scans", obs::Json(totals.index_scans));
   counters.Set("sort_skips", obs::Json(totals.sort_skips));
   doc.Set("counters", std::move(counters));
   obs::Json plan = obs::Json::Array();
@@ -309,7 +301,6 @@ void FlattenInto(const StepProfile& step,
   rec.out_cardinality += step.out_cardinality;
   rec.nodes_touched += step.nodes_touched;
   rec.predicate_evals += step.predicate_evals;
-  rec.index_scans += step.index_scans;
   rec.sort_skips += step.sort_skips;
   rec.self_nanos += step.self_nanos;
   rec.total_nanos += step.total_nanos;

@@ -30,7 +30,6 @@ struct StepCosts {
   uint64_t out_cardinality = 0;  ///< sum of result-set sizes (preds: hits)
   uint64_t nodes_touched = 0;    ///< self tree-node inspections
   uint64_t predicate_evals = 0;  ///< self qualifier evaluations
-  uint64_t index_scans = 0;      ///< self indexed '//label' answers
   uint64_t sort_skips = 0;       ///< self skipped SortUnique passes
   uint64_t self_nanos = 0;       ///< wall time minus nested steps
   uint64_t total_nanos = 0;      ///< wall time including nested steps
@@ -143,10 +142,10 @@ std::string HotStepLine(const StepProfile& root);
 /// Indented per-step cost table (the CLI `--profile` rendering).
 std::string StepProfileText(const StepProfile& root);
 
-/// Recursive plan object of the secview.profile.v1 schema.
+/// Recursive plan object of the obs::kProfileSchema schema.
 obs::Json StepProfileJson(const StepProfile& step);
 
-/// One secview.profile.v1 JSONL line: schema tag, policy, query,
+/// One obs::kProfileSchema JSONL line: schema tag, policy, query,
 /// unix_micros, hot_step, aggregate counters, and the plan tree.
 /// docs/observability.md documents the schema;
 /// obs::ValidateProfileLine checks it.

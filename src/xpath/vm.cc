@@ -14,7 +14,6 @@
 #include <span>
 #include <string>
 
-#include "xml/label_index.h"
 #include "xpath/evaluator.h"
 #include "xpath/plan.h"
 #include "xpath/profiler.h"
@@ -47,7 +46,6 @@ EvalMetrics EvalMetrics::Resolve(obs::MetricsRegistry& registry) {
   EvalMetrics m;
   m.nodes_touched = &registry.GetCounter("eval.nodes_touched");
   m.predicate_evals = &registry.GetCounter("eval.predicate_evals");
-  m.index_scans = &registry.GetCounter("eval.index_scans");
   m.sort_skips = &registry.GetCounter("eval.sort_skips");
   m.budget_checks = &registry.GetCounter("xpath.budget_checks");
   m.compiled_queries = &registry.GetCounter("eval.compiled_queries");
@@ -56,15 +54,13 @@ EvalMetrics EvalMetrics::Resolve(obs::MetricsRegistry& registry) {
 
 Result<NodeSet> XPathEvaluator::Evaluate(const PathPtr& p, NodeId context) {
   if (!p) return Status::InvalidArgument("null query");
-  return EvaluateCompiled(*CompilePlan(p, {.use_index = index_ != nullptr}),
-                          context);
+  return EvaluateCompiled(*CompilePlan(p), context);
 }
 
 Result<NodeSet> XPathEvaluator::Evaluate(const PathPtr& p,
                                          const NodeSet& context) {
   if (!p) return Status::InvalidArgument("null query");
-  return EvaluateCompiled(*CompilePlan(p, {.use_index = index_ != nullptr}),
-                          context);
+  return EvaluateCompiled(*CompilePlan(p), context);
 }
 
 Result<NodeSet> XPathEvaluator::EvaluateCompiled(
@@ -83,11 +79,6 @@ Result<NodeSet> XPathEvaluator::EvaluateCompiled(
     EvalScratch* scratch) {
   if (plan.root < 0 || plan.ops.empty()) {
     return Status::InvalidArgument("empty compiled plan");
-  }
-  if (plan.uses_index && index_ == nullptr) {
-    return Status::FailedPrecondition(
-        "plan was compiled for a label index (use_index) but the "
-        "evaluator has none attached");
   }
   if (scratch == nullptr) scratch = &EvalScratch::ThreadLocal();
 
@@ -199,18 +190,6 @@ void XPathEvaluator::RunOpStep(int32_t op_idx, const NodeSet& ctx,
       RunOp(op.left, *closure, out);
       return;
     }
-    case CompiledPlan::OpCode::kDescLabelIndexed: {
-      const int label_id = plan_labels_[op.label];
-      if (label_id < 0) return;
-      if (op.qual < 0) {
-        RunDescLabelIndexed(label_id, ctx, out);
-        return;
-      }
-      BorrowedSet matches(*scratch_);
-      RunDescLabelIndexed(label_id, ctx, *matches);
-      Filter(op.qual, *matches, out);
-      return;
-    }
     case CompiledPlan::OpCode::kUnion: {
       BorrowedSet a(*scratch_);
       BorrowedSet b(*scratch_);
@@ -304,24 +283,6 @@ void XPathEvaluator::RunDescOrSelf(const NodeSet& ctx, NodeSet& out) {
   }
 }
 
-void XPathEvaluator::RunDescLabelIndexed(int label_id, const NodeSet& ctx,
-                                         NodeSet& out) {
-  ++counters_.index_scans;
-  NodeId covered_until = kNullNode;
-  for (NodeId v : ctx) {
-    if (BudgetTripped()) break;
-    if (v < covered_until) continue;
-    NodeId end = tree_->SubtreeEnd(v);
-    auto [first, last] = index_->Range(label_id, v, end);
-    for (const NodeId* it = first; it != last; ++it) {
-      ++counters_.nodes_touched;
-      if (*it == v) continue;  // the subtree root is not its own child
-      out.push_back(*it);
-    }
-    covered_until = end;
-  }
-}
-
 void XPathEvaluator::SortUnique(NodeSet& set) {
   std::sort(set.begin(), set.end());
   set.erase(std::unique(set.begin(), set.end()), set.end());
@@ -334,9 +295,6 @@ void XPathEvaluator::FlushDelta(const EvalCounters& before) {
   }
   if (uint64_t d = counters_.predicate_evals - before.predicate_evals; d > 0) {
     metrics_->predicate_evals->Add(d);
-  }
-  if (uint64_t d = counters_.index_scans - before.index_scans; d > 0) {
-    metrics_->index_scans->Add(d);
   }
   if (uint64_t d = counters_.sort_skips - before.sort_skips; d > 0) {
     metrics_->sort_skips->Add(d);
@@ -544,7 +502,6 @@ bool XPathEvaluator::ReachClasses(int32_t op_idx, const NodeSet& from,
       return true;
     }
     case CompiledPlan::OpCode::kDescOrSelf:
-    case CompiledPlan::OpCode::kDescLabelIndexed:
     case CompiledPlan::OpCode::kQualified:
       return false;
   }

@@ -251,7 +251,7 @@ TEST_F(CliTest, QueryProfileJsonToStdout) {
                  "//patient//bill", "--bind", "wardNo=3", "--profile-json",
                  "-"}),
             0);
-  EXPECT_NE(out_.str().find("\"schema\":\"secview.profile.v1\""),
+  EXPECT_NE(out_.str().find("\"schema\":\"secview.profile.v2\""),
             std::string::npos)
       << out_.str();
 }
@@ -268,7 +268,7 @@ TEST_F(CliTest, QueryProfileWithSavedView) {
 }
 
 TEST_F(CliTest, ProfileTopRejectsCorruptInput) {
-  WriteFile("bad_profile.jsonl", "{\"schema\":\"secview.profile.v1\"}\n");
+  WriteFile("bad_profile.jsonl", "{\"schema\":\"secview.profile.v2\"}\n");
   EXPECT_EQ(Run({"profile-top", "--in", Path("bad_profile.jsonl")}), 1);
   EXPECT_NE(err_.str().find("line 1"), std::string::npos) << err_.str();
 }

@@ -870,7 +870,7 @@ TEST(TraceExportTest, EmptyInputYieldsEmptyEventList) {
   EXPECT_TRUE(chrome->Find("traceEvents")->items().empty());
 }
 
-// -- secview.profile.v1 validation --------------------------------------
+// -- secview.profile.v2 validation --------------------------------------
 
 /// A well-formed plan step with `nodes` exclusive node touches, all
 /// other numeric fields 1, and no children.
@@ -880,8 +880,8 @@ Json MakePlanStep(const std::string& sig, const std::string& axis,
   step.Set("step", Json(sig));
   step.Set("axis", Json(axis));
   for (const char* field :
-       {"invocations", "in", "out", "preds", "index_scans", "sort_skips",
-        "self_nanos", "total_nanos", "alloc_bytes", "alloc_count"}) {
+       {"invocations", "in", "out", "preds", "sort_skips", "self_nanos",
+        "total_nanos", "alloc_bytes", "alloc_count"}) {
     step.Set(field, Json(uint64_t{1}));
   }
   step.Set("nodes", Json(nodes));
@@ -893,7 +893,7 @@ Json MakePlanStep(const std::string& sig, const std::string& axis,
 /// nested child::name (2 nodes); valid iff `total_nodes` == 5.
 Json MakeProfileLine(uint64_t total_nodes) {
   Json doc = Json::Object();
-  doc.Set("schema", Json("secview.profile.v1"));
+  doc.Set("schema", Json("secview.profile.v2"));
   doc.Set("unix_micros", Json(uint64_t{1700000000000000}));
   doc.Set("policy", Json("nurse"));
   doc.Set("query", Json("//bill"));
@@ -901,7 +901,6 @@ Json MakeProfileLine(uint64_t total_nodes) {
   Json counters = Json::Object();
   counters.Set("nodes_touched", Json(total_nodes));
   counters.Set("predicate_evals", Json(uint64_t{0}));
-  counters.Set("index_scans", Json(uint64_t{0}));
   counters.Set("sort_skips", Json(uint64_t{0}));
   doc.Set("counters", std::move(counters));
   Json outer = MakePlanStep("descendant::bill", "descendant", 3);

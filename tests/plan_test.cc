@@ -18,7 +18,6 @@
 
 #include "common/budget.h"
 #include "obs/metrics.h"
-#include "xml/label_index.h"
 #include "xml/parser.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
@@ -62,7 +61,7 @@ constexpr char kHostileDoc[] = R"(
   </hospital>
 )";
 
-/// The 27-case hostile corpus: one query per way the VM could diverge
+/// The 30-case hostile corpus: one query per way the VM could diverge
 /// from the reference — repeated descendant closures, overlapping unions,
 /// nested and boolean qualifiers, attribute tests, $parameters, absent
 /// labels, and identity steps.
@@ -70,6 +69,7 @@ const std::vector<std::string>& HostileCorpus() {
   static const std::vector<std::string>* corpus =
       new std::vector<std::string>{
           "//patient//bill",
+          "//bill",
           "//dept//patientInfo//patient//treatment//bill",
           "//*",
           "//*//*",
@@ -79,6 +79,7 @@ const std::vector<std::string>& HostileCorpus() {
           "//patient[wardNo = \"3\"]",
           "//patient[wardNo = \"nope\"]",
           "//patient[wardNo = $w]",
+          "//patient[wardNo = $w]/name",
           "//dept[*/patient/wardNo = $w]//bill",
           "//patient[not(wardNo = \"3\")]/name",
           "//patient[wardNo = \"3\" and treatment//bill]",
@@ -86,6 +87,7 @@ const std::vector<std::string>& HostileCorpus() {
           "//patient[not(not(name))]",
           "//bill | //bill",
           "//bill | //medication | //name",
+          "dept//bill | //medication",
           "dept/patientInfo/patient | //patient",
           "//patient[@vip]",
           "//patient[@vip = \"y\"]/name",
@@ -159,12 +161,10 @@ Answer RunReference(const XmlTree& doc, const PathPtr& p,
   return answer;
 }
 
-Answer RunVm(const XmlTree& doc, const LabelIndex* index,
-             const CompiledPlan& plan, const Bindings& bindings,
-             const BudgetLimits& limits = {},
+Answer RunVm(const XmlTree& doc, const CompiledPlan& plan,
+             const Bindings& bindings, const BudgetLimits& limits = {},
              CancelToken cancel = CancelToken()) {
-  XPathEvaluator evaluator =
-      index != nullptr ? XPathEvaluator(doc, index) : XPathEvaluator(doc);
+  XPathEvaluator evaluator(doc);
   QueryBudget budget(limits, cancel);
   if (budget.active()) evaluator.set_budget(&budget);
   auto result = evaluator.EvaluateCompiled(plan, doc.root(), bindings);
@@ -182,12 +182,12 @@ void DiffCorpus(const XmlTree& doc, const std::vector<std::string>& corpus,
     ASSERT_NE(plan, nullptr) << text;
     Answer reference = RunReference(doc, p, bindings);
     EXPECT_TRUE(reference.status.ok()) << text << ": " << reference.status;
-    ExpectSameAnswer(reference, RunVm(doc, nullptr, *plan, bindings), text);
+    ExpectSameAnswer(reference, RunVm(doc, *plan, bindings), text);
   }
 }
 
 TEST(PlanDifferentialTest, HostileCorpusMatchesAstWalk) {
-  ASSERT_EQ(HostileCorpus().size(), 27u);
+  ASSERT_EQ(HostileCorpus().size(), 30u);
   XmlTree doc = MustParseDoc(kHostileDoc);
   DiffCorpus(doc, HostileCorpus(), {{"w", "3"}});
 }
@@ -219,7 +219,7 @@ TEST(PlanDifferentialTest, NodeBudgetsRefuseOrMatchReference) {
       limits.max_nodes = max_nodes;
       const std::string context =
           std::string(text) + " max_nodes=" + std::to_string(max_nodes);
-      Answer vm = RunVm(doc, nullptr, *plan, {}, limits);
+      Answer vm = RunVm(doc, *plan, {}, limits);
       if (!vm.status.ok()) {
         EXPECT_EQ(vm.status.code(), StatusCode::kResourceExhausted)
             << context << ": " << vm.status;
@@ -277,41 +277,9 @@ TEST(PlanDifferentialTest, CancelledExecutionsMatch) {
   CancelSource source;
   CancelToken token(source);
   source.CancelAll();  // cancelled before evaluation starts
-  Answer vm = RunVm(doc, nullptr, *plan, {}, {}, token);
+  Answer vm = RunVm(doc, *plan, {}, {}, token);
   EXPECT_EQ(vm.status.code(), StatusCode::kCancelled) << vm.status;
   EXPECT_TRUE(vm.nodes.empty());
-}
-
-TEST(PlanDifferentialTest, IndexedPlansMatchReference) {
-  // The reference has no index: index-scan plans must return exactly
-  // what the plain walk returns.
-  XmlTree doc = MustParseDoc(kHostileDoc);
-  LabelIndex index(doc);
-  PlanCompileOptions options;
-  options.use_index = true;
-  for (const std::string& text :
-       {std::string("//bill"), std::string("//patient[wardNo = \"3\"]"),
-        std::string("dept//bill | //medication"),
-        std::string("//patient[wardNo = $w]/name")}) {
-    PathPtr p = MustParsePath(text);
-    auto plan = CompilePlan(p, options);
-    ASSERT_NE(plan, nullptr) << text;
-    EXPECT_TRUE(plan->uses_index) << text;
-    ExpectSameAnswer(RunReference(doc, p, {{"w", "3"}}),
-                     RunVm(doc, &index, *plan, {{"w", "3"}}), text);
-  }
-}
-
-TEST(PlanDifferentialTest, IndexedPlanRequiresIndex) {
-  XmlTree doc = MustParseDoc(kHostileDoc);
-  PlanCompileOptions options;
-  options.use_index = true;
-  auto plan = CompilePlan(MustParsePath("//bill"), options);
-  ASSERT_NE(plan, nullptr);
-  ASSERT_TRUE(plan->uses_index);
-  XPathEvaluator evaluator(doc);
-  auto result = evaluator.EvaluateCompiled(*plan, doc.root());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(PlanDifferentialTest, UnboundParameterStatusesMatch) {
@@ -323,7 +291,7 @@ TEST(PlanDifferentialTest, UnboundParameterStatusesMatch) {
   for (const Bindings& bindings :
        {Bindings{}, Bindings{{"other", "1"}, {"x", "2"}}}) {
     Answer reference = RunReference(doc, p, bindings);
-    Answer vm = RunVm(doc, nullptr, *plan, bindings);
+    Answer vm = RunVm(doc, *plan, bindings);
     ExpectSameAnswer(reference, vm, "unbound $w");
     EXPECT_EQ(reference.status.code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(vm.status.code(), StatusCode::kFailedPrecondition);
@@ -335,8 +303,7 @@ TEST(PlanDifferentialTest, UnboundParameterStatusesMatch) {
   ASSERT_FALSE(first.nodes.empty());
   ExpectSameAnswer(first, RunReference(doc, p, duplicate),
                    "reference, duplicate bindings");
-  ExpectSameAnswer(first, RunVm(doc, nullptr, *plan, duplicate),
-                   "duplicate bindings");
+  ExpectSameAnswer(first, RunVm(doc, *plan, duplicate), "duplicate bindings");
 }
 
 TEST(PlanDifferentialTest, CompiledProfilesKeepSumInvariant) {
@@ -356,7 +323,6 @@ TEST(PlanDifferentialTest, CompiledProfilesKeepSumInvariant) {
     const EvalCounters& agg = evaluator.counters();
     EXPECT_EQ(totals.nodes_touched, agg.nodes_touched) << text;
     EXPECT_EQ(totals.predicate_evals, agg.predicate_evals) << text;
-    EXPECT_EQ(totals.index_scans, agg.index_scans) << text;
     EXPECT_EQ(totals.sort_skips, agg.sort_skips) << text;
   }
 }
@@ -604,7 +570,6 @@ TEST(PlanCompilerTest, LoweringDeduplicatesLabelsAndSizesItself) {
   ASSERT_NE(plan, nullptr);
   EXPECT_GE(plan->ops.size(), 5u);
   EXPECT_EQ(plan->root, static_cast<int32_t>(plan->ops.size()) - 1);
-  EXPECT_FALSE(plan->uses_index);
   // The plan is self-contained: it holds no reference to its AST.
   EXPECT_EQ(p.use_count(), 1);
   EXPECT_GT(plan->byte_size(), sizeof(CompiledPlan));

@@ -548,7 +548,7 @@ TEST_F(TelemetryServerTest, ProfilezServesTopStepsTextAndJson) {
   EXPECT_EQ(json.content_type, "application/json");
   auto parsed = obs::Json::Parse(json.body);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->Find("schema")->AsString(), "secview.profile.v1");
+  EXPECT_EQ(parsed->Find("schema")->AsString(), "secview.profile.v2");
   EXPECT_EQ(parsed->Find("queries")->AsNumber(), 3);
   ASSERT_NE(parsed->Find("steps"), nullptr);
   EXPECT_FALSE(parsed->Find("steps")->items().empty());

@@ -318,10 +318,10 @@ TEST_F(EvaluatorTest, AttributeQualifier) {
 TEST_F(EvaluatorTest, WorkCounterGrows) {
   XPathEvaluator evaluator(tree_);
   ASSERT_TRUE(evaluator.Evaluate(MustParse("//b"), tree_.root()).ok());
-  uint64_t work_desc = evaluator.work();
+  uint64_t work_desc = evaluator.counters().nodes_touched;
   evaluator.ResetWork();
   ASSERT_TRUE(evaluator.Evaluate(MustParse("a/b"), tree_.root()).ok());
-  uint64_t work_child = evaluator.work();
+  uint64_t work_child = evaluator.counters().nodes_touched;
   EXPECT_GT(work_desc, work_child);
 }
 
